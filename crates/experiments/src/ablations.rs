@@ -234,7 +234,7 @@ pub fn ablation_oracle(scale: &Scale) -> FigureData {
 /// communication is a substantial fraction of the iteration — justifying
 /// the BSP model for the paper's regime.
 pub fn ablation_commmodel(scale: &Scale) -> FigureData {
-    use simulator::exec::{run_iteration, run_iteration_eager};
+    use simulator::exec::{run_iteration, run_iteration_eager, FaultedIteration};
     use simulator::schedule::{equal_partition, fastest_hosts};
     scale.validate();
     let xs = scale.logspace(1e5, 1e9); // bytes per process per iteration
@@ -254,15 +254,17 @@ pub fn ablation_commmodel(scale: &Scale) -> FigureData {
                 let platform = platform(onoff_duty(0.5)).realize(seed);
                 let active = fastest_hosts(&platform, app.n_active, 0.0);
                 let work = equal_partition(app.n_active, app.flops_per_proc_iter);
+                let plan = faults::FaultPlan::inert();
+                let mut fi = FaultedIteration::default();
                 for (i, eager) in [false, true].into_iter().enumerate() {
                     let mut t = platform.startup_time(app.n_active);
                     for _ in 0..app.iterations {
-                        let out = if eager {
-                            run_iteration_eager(&platform, &app, &active, &work, t)
+                        t = if eager {
+                            run_iteration_eager(&platform, &app, &active, &work, t).end
                         } else {
-                            run_iteration(&platform, &app, &active, &work, t)
+                            run_iteration(&platform, &app, &active, &work, t, plan, &mut fi);
+                            fi.outcome.end
                         };
-                        t = out.end;
                     }
                     sums[i] += t;
                 }

@@ -79,8 +79,11 @@ pub struct FaultPlan {
     pub horizon: f64,
     /// Iterations between implicit checkpoints for failure-aware CR
     /// (carried over from [`FaultSpec::checkpoint_every`] so executors
-    /// need only the plan).
-    pub checkpoint_every: usize,
+    /// need only the plan). `None` only for the inert plan
+    /// ([`FaultPlan::empty`], [`FaultPlan::inert`]): CR then runs the
+    /// paper's performance-triggered restarts instead of a
+    /// fault-tolerance cadence.
+    pub checkpoint_every: Option<usize>,
     /// Failure-domain id of each host (`host % spec.domains`); empty
     /// when the domain layer is off.
     pub domains: Vec<usize>,
@@ -125,18 +128,33 @@ fn windows<R: Rng + ?Sized>(
 }
 
 impl FaultPlan {
-    /// A plan with no faults at all (useful as a neutral default).
+    /// An inert plan over `n_hosts` hosts: no crashes, blackouts or
+    /// link windows, and no checkpoint cadence. Running under it is
+    /// running fault-free.
     pub fn empty(n_hosts: usize, horizon: f64) -> Self {
         FaultPlan {
             hosts: vec![HostFaultSchedule::default(); n_hosts],
-            link: Vec::new(),
             horizon,
-            checkpoint_every: FaultSpec::disabled().checkpoint_every(),
+            ..FaultPlan::inert().clone()
+        }
+    }
+
+    /// The shared inert plan every run starts from: [`FaultPlan::empty`]
+    /// over zero hosts with an unbounded horizon. Per-host queries answer
+    /// "no fault" for every host id, so it fits a platform of any size.
+    pub fn inert() -> &'static FaultPlan {
+        static INERT: FaultPlan = FaultPlan {
+            hosts: Vec::new(),
+            link: Vec::new(),
+            horizon: f64::INFINITY,
+            checkpoint_every: None,
             domains: Vec::new(),
             shocks: Vec::new(),
             host_mtbf: Vec::new(),
-            crash_dist: MtbfDistribution::default(),
-        }
+            // `MtbfDistribution::default()`, spelled out for a static.
+            crash_dist: MtbfDistribution::HyperExp { cv2: 4.0 },
+        };
+        &INERT
     }
 
     /// Realizes the schedule for `n_hosts` hosts over `[0, horizon]`.
@@ -300,7 +318,7 @@ impl FaultPlan {
             hosts,
             link,
             horizon,
-            checkpoint_every: spec.checkpoint_every(),
+            checkpoint_every: Some(spec.checkpoint_every()),
             domains,
             shocks,
             host_mtbf,
@@ -319,6 +337,7 @@ impl FaultPlan {
 
     /// The permanent death instant of `host`, if any: the earlier of
     /// its independent crash and its correlated shock kill.
+    #[inline]
     pub fn crash_time(&self, host: usize) -> Option<f64> {
         self.hosts
             .get(host)
@@ -350,18 +369,20 @@ impl FaultPlan {
     }
 
     /// Whether `host` has permanently crashed by instant `t`.
+    #[inline]
     pub fn is_crashed(&self, host: usize, t: f64) -> bool {
         self.crash_time(host).is_some_and(|c| c <= t)
     }
 
-    /// Host ids alive (not yet crashed) at instant `t`, in id order.
-    pub fn alive_hosts(&self, t: f64) -> Vec<usize> {
-        (0..self.hosts.len())
-            .filter(|&h| !self.is_crashed(h, t))
-            .collect()
+    /// Host ids in `0..n_hosts` alive (not yet crashed) at instant `t`,
+    /// in id order. The caller passes the platform's host count: the
+    /// inert plan lists no hosts at all.
+    pub fn alive_hosts(&self, n_hosts: usize, t: f64) -> Vec<usize> {
+        (0..n_hosts).filter(|&h| !self.is_crashed(h, t)).collect()
     }
 
     /// The bandwidth multiplier in force on the shared link at `t`.
+    #[inline]
     pub fn link_factor_at(&self, t: f64) -> f64 {
         self.link
             .iter()
@@ -455,7 +476,7 @@ mod tests {
         let c = plan.crash_time(h).unwrap();
         assert!(!plan.is_crashed(h, c - 1e-9));
         assert!(plan.is_crashed(h, c));
-        assert!(!plan.alive_hosts(c).contains(&h));
+        assert!(!plan.alive_hosts(32, c).contains(&h));
     }
 
     #[test]
@@ -495,10 +516,27 @@ mod tests {
 
     #[test]
     fn empty_plan_is_inert() {
-        let p = FaultPlan::empty(8, 1_000.0);
-        assert!(p.is_inert());
-        assert_eq!(p.alive_hosts(999.0).len(), 8);
-        assert_eq!(p.link_factor_at(5.0), 1.0);
+        for p in [&FaultPlan::empty(8, 1_000.0), FaultPlan::inert()] {
+            assert!(p.is_inert());
+            assert_eq!(p.checkpoint_every, None);
+            assert_eq!(p.alive_hosts(8, 999.0).len(), 8);
+            assert_eq!(p.link_factor_at(5.0), 1.0);
+        }
+        assert_eq!(
+            FaultPlan::empty(0, f64::INFINITY),
+            *FaultPlan::inert(),
+            "the shared inert plan is the zero-host empty plan"
+        );
+    }
+
+    #[test]
+    fn generated_plans_always_carry_a_cadence() {
+        // Even a plan in which no fault lands before the horizon selects
+        // fault-tolerant CR: the cadence comes from the spec, not from
+        // whether anything happened.
+        let plan = FaultPlan::generate(&FaultSpec::crashes_only(1e12, 0), 4, 10.0, 0);
+        assert!(plan.is_inert());
+        assert_eq!(plan.checkpoint_every, Some(5));
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub fn run_dlb_des(platform: &Platform, app: &AppSpec) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::run_iteration;
+    use crate::exec::{run_iteration, FaultedIteration, IterationOutcome};
     use crate::platform::{LoadSpec, PlatformSpec};
     use crate::strategies::{Dlb, Nothing, RunContext, Strategy};
     use loadmodel::OnOffSource;
@@ -152,6 +152,19 @@ mod tests {
         }
     }
 
+    /// The analytic engine's fault-free iteration.
+    fn analytic(
+        p: &Platform,
+        a: &AppSpec,
+        active: &[usize],
+        w: &[f64],
+        t0: f64,
+    ) -> IterationOutcome {
+        let mut fi = FaultedIteration::default();
+        run_iteration(p, a, active, w, t0, faults::FaultPlan::inert(), &mut fi);
+        fi.outcome
+    }
+
     fn app(iters: usize) -> AppSpec {
         AppSpec {
             n_active: 3,
@@ -168,7 +181,7 @@ mod tests {
         let a = app(1);
         let active = [0, 3, 5];
         let work = [4e9, 2e9, 6e9];
-        let analytic = run_iteration(&p, &a, &active, &work, 12.5);
+        let analytic = analytic(&p, &a, &active, &work, 12.5);
         let (compute_end, end) = run_iteration_des(&p, &a, &active, &work, 12.5);
         assert!((analytic.compute_end - compute_end).abs() < 1e-6);
         assert!((analytic.end - end).abs() < 1e-6);
@@ -219,7 +232,7 @@ mod tests {
             let p = spec(duty).realize(seed);
             let a = app(1);
             let active: Vec<usize> = (0..w.len()).collect();
-            let analytic = run_iteration(&p, &a, &active, &w, t0);
+            let analytic = analytic(&p, &a, &active, &w, t0);
             let (compute_end, end) = run_iteration_des(&p, &a, &active, &w, t0);
             prop_assert!(
                 (analytic.compute_end - compute_end).abs() < 1e-6,

@@ -85,11 +85,6 @@ impl RunResult {
 }
 
 /// Outcome of one iteration's compute+communicate phases.
-///
-/// The `Default` value is an empty scratch outcome for the `*_into`
-/// entry points: hoist one outside a strategy's iteration loop and the
-/// per-iteration `measured_rates`/`completions` vectors are recycled
-/// instead of reallocated.
 #[derive(Clone, Debug, Default)]
 pub struct IterationOutcome {
     /// End of the compute phase.
@@ -104,13 +99,53 @@ pub struct IterationOutcome {
     pub completions: Vec<f64>,
 }
 
-/// Runs one BSP iteration starting at `t0`.
+/// Mean delivered speed of `host` over `[t0, t1]` — the probe measurement
+/// a swap handler reports for a spare processor.
+pub fn probe_host(platform: &Platform, host: usize, t0: f64, t1: f64) -> f64 {
+    platform.hosts[host].mean_delivered(t0, t1.max(t0))
+}
+
+/// One iteration attempted under a fault plan: either it completed, or
+/// one or more active hosts crashed before the collective.
+///
+/// The `Default` value is an empty scratch: hoist one outside a
+/// strategy's iteration loop and [`run_iteration`] recycles its vectors
+/// instead of allocating fresh ones every iteration.
+#[derive(Clone, Debug, Default)]
+pub struct FaultedIteration {
+    /// The iteration as it would have unfolded with no crash. Only
+    /// meaningful when `failed` is empty — strategies must discard it
+    /// (and re-run the iteration after recovering) otherwise.
+    pub outcome: IterationOutcome,
+    /// Active hosts whose permanent crash lands inside this iteration,
+    /// in `active` order. Empty means the iteration completed.
+    pub failed: Vec<usize>,
+    /// When the failure is *detected* (ULFM semantics: the death is
+    /// reported at the next collective): the survivors must reach the
+    /// barrier and the crash must have happened, so this is the max of
+    /// the survivors' compute completions and the failed hosts' crash
+    /// instants. Equal to `outcome.end` when nothing failed.
+    pub detected: f64,
+}
+
+/// Runs one BSP iteration starting at `t0` under `plan`, writing into
+/// the caller-owned scratch `fi` (its previous contents are fully
+/// overwritten).
 ///
 /// * `active` — host ids carrying application processes;
 /// * `work` — flops assigned to each (parallel to `active`);
 /// * communication: every process sends `app.bytes_per_proc_iter` over
 ///   the shared link once the slowest process finishes computing; with
 ///   fluid fair sharing the phase lasts `α + n·b/β`.
+///
+/// Blackouts are already folded into the host load timelines (see
+/// [`Platform::apply_blackouts`]), so the plan adds the two fault
+/// effects the timelines cannot express: permanent crashes (an active
+/// host whose crash instant falls inside the iteration fails it) and
+/// degraded-bandwidth windows on the shared link (the communication
+/// phase runs at the scaled bandwidth in force when it starts). Under
+/// [`faults::FaultPlan::inert`] neither applies and the iteration is the
+/// fault-free one.
 ///
 /// # Panics
 /// Panics if `active` and `work` differ in length or are empty, or if any
@@ -121,27 +156,13 @@ pub fn run_iteration(
     active: &[usize],
     work: &[f64],
     t0: f64,
-) -> IterationOutcome {
-    let mut out = IterationOutcome::default();
-    run_iteration_into(platform, app, active, work, t0, &mut out);
-    out
-}
-
-/// [`run_iteration`] writing into a caller-owned scratch outcome, so a
-/// strategy's iteration loop reuses the two per-process vectors instead
-/// of allocating fresh ones every iteration. Identical arithmetic and
-/// contract; `out`'s previous contents are fully overwritten.
-pub fn run_iteration_into(
-    platform: &Platform,
-    app: &AppSpec,
-    active: &[usize],
-    work: &[f64],
-    t0: f64,
-    out: &mut IterationOutcome,
+    plan: &faults::FaultPlan,
+    fi: &mut FaultedIteration,
 ) {
     assert_eq!(active.len(), work.len(), "active/work length mismatch");
     assert!(!active.is_empty(), "iteration needs at least one process");
 
+    let out = &mut fi.outcome;
     let mut compute_end = t0;
     out.completions.clear();
     out.completions.reserve(active.len());
@@ -168,107 +189,10 @@ pub fn run_iteration_into(
         });
     }
 
-    let comm = platform
-        .link
-        .bulk_transfer_time(active.len(), app.bytes_per_proc_iter);
-    out.compute_end = compute_end;
-    out.end = compute_end + comm;
-}
-
-/// Mean delivered speed of `host` over `[t0, t1]` — the probe measurement
-/// a swap handler reports for a spare processor.
-pub fn probe_host(platform: &Platform, host: usize, t0: f64, t1: f64) -> f64 {
-    platform.hosts[host].mean_delivered(t0, t1.max(t0))
-}
-
-/// One iteration attempted under a fault plan: either it completed, or
-/// one or more active hosts crashed before the collective.
-///
-/// Like [`IterationOutcome`], the `Default` value is a scratch for
-/// [`run_iteration_faults_into`].
-#[derive(Clone, Debug, Default)]
-pub struct FaultedIteration {
-    /// The iteration as it would have unfolded with no crash. Only
-    /// meaningful when `failed` is empty — strategies must discard it
-    /// (and re-run the iteration after recovering) otherwise.
-    pub outcome: IterationOutcome,
-    /// Active hosts whose permanent crash lands inside this iteration,
-    /// in `active` order. Empty means the iteration completed.
-    pub failed: Vec<usize>,
-    /// When the failure is *detected* (ULFM semantics: the death is
-    /// reported at the next collective): the survivors must reach the
-    /// barrier and the crash must have happened, so this is the max of
-    /// the survivors' compute completions and the failed hosts' crash
-    /// instants. Equal to `outcome.end` when nothing failed.
-    pub detected: f64,
-}
-
-/// Like [`run_iteration`], but under a [`faults::FaultPlan`]: blackouts
-/// are already folded into the host load timelines (see
-/// [`Platform::apply_blackouts`]), so this adds the two fault effects the
-/// timelines cannot express — permanent crashes (an active host whose
-/// crash instant falls inside the iteration fails it) and
-/// degraded-bandwidth windows on the shared link (the communication phase
-/// runs at the scaled bandwidth in force when it starts).
-///
-/// # Panics
-/// Same contract as [`run_iteration`].
-pub fn run_iteration_faults(
-    platform: &Platform,
-    app: &AppSpec,
-    active: &[usize],
-    work: &[f64],
-    t0: f64,
-    plan: &faults::FaultPlan,
-) -> FaultedIteration {
-    let mut fi = FaultedIteration::default();
-    run_iteration_faults_into(platform, app, active, work, t0, plan, &mut fi);
-    fi
-}
-
-/// [`run_iteration_faults`] writing into a caller-owned scratch, reusing
-/// its vectors across iterations. Identical arithmetic and contract;
-/// `fi`'s previous contents are fully overwritten.
-pub fn run_iteration_faults_into(
-    platform: &Platform,
-    app: &AppSpec,
-    active: &[usize],
-    work: &[f64],
-    t0: f64,
-    plan: &faults::FaultPlan,
-    fi: &mut FaultedIteration,
-) {
-    assert_eq!(active.len(), work.len(), "active/work length mismatch");
-    assert!(!active.is_empty(), "iteration needs at least one process");
-
-    let out = &mut fi.outcome;
-    let mut compute_end = t0;
-    out.completions.clear();
-    out.completions.reserve(active.len());
-    for (&host, &w) in active.iter().zip(work) {
-        let done = platform.hosts[host].cpu.completion_time(t0, w);
-        assert!(
-            done.is_finite(),
-            "host {host} can never finish {w} flops from t={t0}"
-        );
-        out.completions.push(done);
-        compute_end = compute_end.max(done);
-    }
-
-    out.measured_rates.clear();
-    out.measured_rates.reserve(active.len());
-    for ((&host, &w), done) in active.iter().zip(work).zip(&out.completions) {
-        out.measured_rates.push(if *done > t0 && w > 0.0 {
-            w / (*done - t0)
-        } else {
-            platform.hosts[host].mean_delivered(t0, compute_end.max(t0 + 1.0))
-        });
-    }
-
     // Communication at the (possibly degraded) bandwidth in force when
     // the barrier is reached. The unscaled link is used verbatim when no
-    // window applies, so fault plans without link faults cannot perturb
-    // the arithmetic.
+    // window applies, so plans without link faults cannot perturb the
+    // arithmetic.
     let factor = plan.link_factor_at(compute_end);
     let link = if factor < 1.0 {
         platform.link.scaled(factor)
@@ -317,6 +241,7 @@ pub fn run_iteration_faults_into(
 /// This is an upper bound on what communication/computation overlap can
 /// recover; the paper's model (and [`run_iteration`]) is the BSP
 /// barrier-then-communicate variant. Compare with `ablation_commmodel`.
+/// Fault-free only: the ablation runs no fault plan.
 pub fn run_iteration_eager(
     platform: &Platform,
     app: &AppSpec,
@@ -373,6 +298,14 @@ mod tests {
     use loadmodel::LoadTrace;
     use simkit::link::SharedLink;
 
+    /// One fault-free iteration through the shared entry point.
+    fn bsp(p: &Platform, a: &AppSpec, active: &[usize], work: &[f64], t0: f64) -> IterationOutcome {
+        let mut fi = FaultedIteration::default();
+        run_iteration(p, a, active, work, t0, faults::FaultPlan::inert(), &mut fi);
+        assert!(fi.failed.is_empty() && fi.detected == fi.outcome.end);
+        fi.outcome
+    }
+
     fn app() -> AppSpec {
         AppSpec {
             n_active: 2,
@@ -399,7 +332,7 @@ mod tests {
     fn unloaded_iteration_time_is_exact() {
         let p = unloaded_platform();
         let a = app();
-        let out = run_iteration(&p, &a, &[0, 1], &[1e9, 1e9], 0.0);
+        let out = bsp(&p, &a, &[0, 1], &[1e9, 1e9], 0.0);
         // Compute: 1e9 / 1e8 = 10 s; comm: 2 × 6e6 / 6e6 = 2 s.
         assert!((out.compute_end - 10.0).abs() < 1e-9);
         assert!((out.end - 12.0).abs() < 1e-9);
@@ -419,7 +352,7 @@ mod tests {
             link: SharedLink::new(0.0, 6e6),
             startup_per_process: 0.75,
         };
-        let out = run_iteration(&p, &app(), &[0, 1], &[1e9, 1e9], 0.0);
+        let out = bsp(&p, &app(), &[0, 1], &[1e9, 1e9], 0.0);
         assert!((out.compute_end - 20.0).abs() < 1e-9);
         assert!((out.measured_rates[0] - 1e8).abs() < 1.0);
         assert!((out.measured_rates[1] - 5e7).abs() < 1.0);
@@ -428,7 +361,7 @@ mod tests {
     #[test]
     fn uneven_work_shifts_the_bottleneck() {
         let p = unloaded_platform();
-        let out = run_iteration(&p, &app(), &[0, 1], &[2e9, 5e8], 0.0);
+        let out = bsp(&p, &app(), &[0, 1], &[2e9, 5e8], 0.0);
         assert!((out.compute_end - 20.0).abs() < 1e-9);
     }
 
@@ -441,7 +374,7 @@ mod tests {
             link: SharedLink::new(0.0, 6e6),
             startup_per_process: 0.75,
         };
-        let out = run_iteration(&p, &app(), &[0], &[1e9], 0.0);
+        let out = bsp(&p, &app(), &[0], &[1e9], 0.0);
         // 5e8 done by t=5; remaining 5e8 at 5e7 takes 10 s → done t=15.
         assert!((out.compute_end - 15.0).abs() < 1e-9);
         let rate = out.measured_rates[0];
@@ -465,7 +398,7 @@ mod tests {
         a.bytes_per_proc_iter = 0.0;
         let mut p = unloaded_platform();
         p.link = SharedLink::new(0.5, 6e6);
-        let out = run_iteration(&p, &a, &[0], &[1e9], 0.0);
+        let out = bsp(&p, &a, &[0], &[1e9], 0.0);
         assert!((out.end - (10.0 + 0.5)).abs() < 1e-9);
     }
 
@@ -483,7 +416,7 @@ mod tests {
             startup_per_process: 0.75,
         };
         let a = app();
-        let bsp = run_iteration(&p, &a, &[0, 1], &[1e9, 1e9], 0.0);
+        let bsp = bsp(&p, &a, &[0, 1], &[1e9, 1e9], 0.0);
         let eager = run_iteration_eager(&p, &a, &[0, 1], &[1e9, 1e9], 0.0);
         assert!(
             eager.end <= bsp.end + 1e-9,
@@ -511,7 +444,7 @@ mod tests {
         let a = app(); // 6 MB per process per iteration
         let eager = run_iteration_eager(&p, &a, &[0, 1], &[1e9, 1e9], 0.0);
         assert!((eager.end - 21.0).abs() < 1e-9, "end {}", eager.end);
-        let bsp = run_iteration(&p, &a, &[0, 1], &[1e9, 1e9], 0.0);
+        let bsp = bsp(&p, &a, &[0, 1], &[1e9, 1e9], 0.0);
         assert!((bsp.end - 22.0).abs() < 1e-9);
     }
 
@@ -519,7 +452,7 @@ mod tests {
     fn eager_equals_bsp_when_processes_finish_together() {
         let p = unloaded_platform();
         let a = app();
-        let bsp = run_iteration(&p, &a, &[0, 1], &[1e9, 1e9], 0.0);
+        let bsp = bsp(&p, &a, &[0, 1], &[1e9, 1e9], 0.0);
         let eager = run_iteration_eager(&p, &a, &[0, 1], &[1e9, 1e9], 0.0);
         // Simultaneous finish → flows fair-share exactly like the bulk
         // formula.
@@ -535,7 +468,42 @@ mod tests {
             startup_per_process: 0.75,
         };
         // Starting after the load clears: full speed.
-        let out = run_iteration(&p, &app(), &[0], &[1e9], 10.0);
+        let out = bsp(&p, &app(), &[0], &[1e9], 10.0);
         assert!((out.compute_end - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn crash_inside_the_iteration_fails_it_at_the_barrier() {
+        // Host 1 dies at t=5 of a 12 s iteration; host 0 reaches the
+        // barrier at t=10, which is when the death is detected.
+        let p = unloaded_platform();
+        let mut plan = faults::FaultPlan::empty(4, 1e5);
+        plan.hosts[1].crash = Some(5.0);
+        let mut fi = FaultedIteration::default();
+        run_iteration(&p, &app(), &[0, 1], &[1e9, 1e9], 0.0, &plan, &mut fi);
+        assert_eq!(fi.failed, vec![1]);
+        assert!((fi.detected - 10.0).abs() < 1e-9);
+        // The same scratch, reused after the crash, reports a clean run
+        // on the survivors.
+        run_iteration(&p, &app(), &[0, 2], &[1e9, 1e9], 10.0, &plan, &mut fi);
+        assert!(fi.failed.is_empty());
+        assert!((fi.outcome.end - 22.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn link_window_slows_the_communication_phase() {
+        let p = unloaded_platform();
+        let mut plan = faults::FaultPlan::empty(4, 1e5);
+        plan.link.push(faults::LinkDegradedWindow {
+            start: 5.0,
+            end: 15.0,
+            factor: 0.5,
+        });
+        let mut fi = FaultedIteration::default();
+        run_iteration(&p, &app(), &[0, 1], &[1e9, 1e9], 0.0, &plan, &mut fi);
+        // Barrier at t=10 inside the window: 12 MB at 3 MB/s = 4 s.
+        assert!((fi.outcome.end - 14.0).abs() < 1e-9);
+        run_iteration(&p, &app(), &[0, 1], &[1e9, 1e9], 20.0, &plan, &mut fi);
+        assert!((fi.outcome.end - 32.0).abs() < 1e-9);
     }
 }

@@ -13,13 +13,29 @@
 //! best-predicted processors in the allocated pool), but pays the full
 //! checkpoint write + MPI restart + checkpoint read each time.
 
+use super::swap::Manager;
 use super::{policy_candidates, rank_by_probe, RunContext, Strategy};
-use crate::exec::{probe_host, run_iteration, run_iteration_faults, IterationRecord, RunResult};
+use crate::exec::{run_iteration, FaultedIteration, IterationRecord, RunResult};
 use crate::schedule::{equal_partition, fastest_hosts};
-use std::collections::HashMap;
-use swap_core::{DecisionEngine, PerfHistory, PolicyParams, ProcessorSnapshot, SwapCost};
+use swap_core::{PolicyParams, ProcessorSnapshot};
 
 /// Checkpoint/restart driven by the same decision criteria as swapping.
+///
+/// The fault plan selects what CR is for. Under a plan with a checkpoint
+/// cadence (every plan [`faults::FaultPlan::generate`] builds, whether or
+/// not a fault lands) CR is a classic fault-tolerance protocol: every
+/// `checkpoint_every` completed iterations the application writes a
+/// checkpoint (pausing for the N-process bulk write), and it makes no
+/// performance restarts — the cadence is the fault-tolerance knob, not a
+/// performance policy. Under the inert plan, which has no cadence, CR is
+/// the paper's performance-triggered restart described above.
+///
+/// Either way, when an active host crashes the run rolls back to the
+/// last checkpoint (without a cadence, the one the last performance
+/// restart wrote), losing everything since; it pays the restart cost
+/// (read + MPI startup), and resumes on the `N` best surviving hosts in
+/// the pool. If fewer than `N` pool hosts survive, the run is censored
+/// at the plan's horizon.
 #[derive(Clone, Copy, Debug)]
 pub struct Cr {
     policy: PolicyParams,
@@ -52,24 +68,22 @@ impl Cr {
         let read = write;
         write + ctx.platform.startup_time(n) + read
     }
+}
 
-    /// Failure-aware variant: classic fault-tolerant checkpoint/restart.
-    /// Every `plan.checkpoint_every` completed iterations the application
-    /// writes a checkpoint (pausing for the N-process bulk write); when
-    /// an active host crashes, the run rolls back to the last checkpoint
-    /// (losing everything since), pays the restart cost (read + MPI
-    /// startup), and resumes on the `N` best surviving hosts in the pool.
-    /// The performance-triggered relocations of the fault-free CR are
-    /// disabled in this mode — the checkpoint cadence is the fault
-    /// tolerance knob, not a performance policy. If fewer than `N` pool
-    /// hosts survive, the run is censored at the plan's horizon.
-    fn run_faults(&self, ctx: &RunContext<'_>, plan: &faults::FaultPlan) -> RunResult {
+impl Strategy for Cr {
+    fn name(&self) -> String {
+        "cr".to_owned()
+    }
+
+    fn run(&self, ctx: &RunContext<'_>) -> RunResult {
         let app = ctx.app;
+        let plan = ctx.faults;
         let n = app.n_active;
         let alloc = ctx.allocated;
 
         let mut pool = fastest_hosts(ctx.platform, alloc, 0.0);
         let mut active: Vec<usize> = pool[..n].to_vec();
+        let mut manager = Manager::new(ctx, self.policy, None, &pool);
 
         let startup = ctx.platform.startup_time(alloc);
         let ckpt_write = ctx
@@ -77,7 +91,7 @@ impl Cr {
             .link
             .bulk_transfer_time(n, app.process_state_bytes);
         let restart_pause = ckpt_write + ctx.platform.startup_time(n);
-        let every = plan.checkpoint_every.max(1);
+        let cycle_cost = Cr::restart_cost(ctx);
         let mut t = startup;
         let work = equal_partition(n, app.flops_per_proc_iter);
         let mut iterations = Vec::with_capacity(app.iterations);
@@ -93,22 +107,15 @@ impl Cr {
         // over observed failures; None until the first failure).
         let mut iter_secs_sum = 0.0;
         let mut iters_run = 0usize;
+        let mut fi = FaultedIteration::default();
 
         let mut index = 0;
         while index < app.iterations {
-            let fi = run_iteration_faults(ctx.platform, app, &active, &work, t, plan);
+            run_iteration(ctx.platform, app, &active, &work, t, plan, &mut fi);
             if !fi.failed.is_empty() {
                 failures += fi.failed.len();
                 let detected = fi.detected;
-                for &h in &fi.failed {
-                    ctx.emit(|| obs::TraceEvent::FailureDetected {
-                        t: detected,
-                        host: h,
-                        iter: Some(index),
-                        cause: obs::FailureCause::InjectedCrash,
-                        detail: None,
-                    });
-                }
+                ctx.emit_failures(&fi.failed, detected, index);
                 pool.retain(|&h| !plan.is_crashed(h, detected));
                 if pool.len() < n {
                     truncated = true;
@@ -122,8 +129,7 @@ impl Cr {
                 active = match ctx.policies {
                     None => probe_ranked[..n].to_vec(),
                     Some(ps) => {
-                        let candidates =
-                            policy_candidates(plan, ctx.platform, &probe_ranked, t, detected);
+                        let candidates = policy_candidates(ctx, &probe_ranked, t, detected);
                         let ranked = ps.placement.rank(&candidates, detected);
                         ctx.emit(|| obs::TraceEvent::PolicyDecision {
                             t: detected,
@@ -151,42 +157,80 @@ impl Cr {
                 continue;
             }
 
-            let out = fi.outcome;
-            ctx.emit_iteration(index, &active, t, &out);
+            let out = &fi.outcome;
+            ctx.emit_iteration(index, &active, t, out);
             pool.retain(|&h| !plan.is_crashed(h, out.end));
 
             iter_secs_sum += out.end - t;
             iters_run += 1;
 
             let completed = index + 1;
+            let active_during = active.clone();
             let mut adapt_time = 0.0;
-            // Cadence: the legacy path keeps the exact modulo trigger;
-            // the policy path asks for the interval since the last
-            // durable checkpoint (identical for `FixedInterval`, since
-            // `ckpt_index` is always a multiple of the fixed cadence,
-            // but lets `YoungDaly` drift with the observed failure rate).
-            let should_checkpoint = match ctx.policies {
-                None => completed % every == 0,
-                Some(ps) => {
-                    let q = policy::CheckpointQuery {
-                        delta_secs: ckpt_write,
-                        mtbf_secs: (failures > 0).then(|| out.end * alloc as f64 / failures as f64),
-                        mean_iter_secs: iter_secs_sum / iters_run as f64,
-                        default_every: every,
-                        n_active: n,
+            match plan.checkpoint_every {
+                // Fault tolerance: checkpoint on the cadence, never move
+                // for performance.
+                Some(every) => {
+                    let every = every.max(1);
+                    // The legacy path keeps the exact modulo trigger; the
+                    // policy path asks for the interval since the last
+                    // durable checkpoint (identical for `FixedInterval`,
+                    // since `ckpt_index` is always a multiple of the
+                    // fixed cadence, but lets `YoungDaly` drift with the
+                    // observed failure rate).
+                    let should_checkpoint = match ctx.policies {
+                        None => completed % every == 0,
+                        Some(ps) => {
+                            let q = policy::CheckpointQuery {
+                                delta_secs: ckpt_write,
+                                mtbf_secs: (failures > 0)
+                                    .then(|| out.end * alloc as f64 / failures as f64),
+                                mean_iter_secs: iter_secs_sum / iters_run as f64,
+                                default_every: every,
+                                n_active: n,
+                            };
+                            completed - ckpt_index >= ps.checkpoint.interval_iters(&q)
+                        }
                     };
-                    completed - ckpt_index >= ps.checkpoint.interval_iters(&q)
+                    if should_checkpoint && completed < app.iterations {
+                        adapt_time = ckpt_write;
+                        ctx.emit(|| obs::TraceEvent::Checkpoint {
+                            t: out.end,
+                            iter: index,
+                            bytes: n as f64 * app.process_state_bytes,
+                            pause_secs: ckpt_write,
+                        });
+                        ckpt_index = completed;
+                    }
                 }
-            };
-            if should_checkpoint && completed < app.iterations {
-                adapt_time = ckpt_write;
-                ctx.emit(|| obs::TraceEvent::Checkpoint {
-                    t: out.end,
-                    iter: index,
-                    bytes: n as f64 * app.process_state_bytes,
-                    pause_secs: ckpt_write,
-                });
-                ckpt_index = completed;
+                // Performance: restart on the N best-predicted processors
+                // whenever the swap criteria would fire.
+                None => {
+                    manager.measure(ctx, &pool, &active, t, out);
+                    if completed < app.iterations {
+                        let decision =
+                            manager.decide(ctx, &pool, &active, index, out.end - t, out.end);
+                        if decision.will_swap() {
+                            let mut ranked: Vec<&ProcessorSnapshot> =
+                                manager.snapshots.iter().collect();
+                            ranked.sort_by(|a, b| {
+                                b.predicted_perf
+                                    .total_cmp(&a.predicted_perf)
+                                    .then(a.id.cmp(&b.id))
+                            });
+                            active = ranked[..n].iter().map(|s| s.id).collect();
+                            adapt_time = cycle_cost;
+                            restarts += 1;
+                            ctx.emit(|| obs::TraceEvent::Checkpoint {
+                                t: out.end,
+                                iter: index,
+                                bytes: n as f64 * app.process_state_bytes,
+                                pause_secs: cycle_cost,
+                            });
+                            ckpt_index = completed;
+                        }
+                    }
+                }
             }
 
             iterations.push(IterationRecord {
@@ -195,7 +239,7 @@ impl Cr {
                 compute_end: out.compute_end,
                 end: out.end,
                 adapt_time,
-                active: active.clone(),
+                active: active_during,
             });
             adapt_total += adapt_time;
             t = out.end + adapt_time;
@@ -213,130 +257,6 @@ impl Cr {
             recoveries,
             aborts: 0,
             truncated,
-        }
-    }
-}
-
-impl Strategy for Cr {
-    fn name(&self) -> String {
-        "cr".to_owned()
-    }
-
-    fn run(&self, ctx: &RunContext<'_>) -> RunResult {
-        if let Some(plan) = ctx.faults {
-            return self.run_faults(ctx, plan);
-        }
-        let app = ctx.app;
-        let n = app.n_active;
-        let alloc = ctx.allocated;
-
-        let pool = fastest_hosts(ctx.platform, alloc, 0.0);
-        let mut active: Vec<usize> = pool[..n].to_vec();
-
-        let engine = DecisionEngine::new(self.policy, SwapCost::from_link(ctx.platform.link));
-        let mut histories: HashMap<usize, PerfHistory> =
-            pool.iter().map(|&h| (h, PerfHistory::new())).collect();
-
-        let startup = ctx.platform.startup_time(alloc);
-        let cycle_cost = Cr::restart_cost(ctx);
-        let mut t = startup;
-        let work = equal_partition(n, app.flops_per_proc_iter);
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let mut restarts = 0usize;
-        let mut adapt_total = 0.0;
-
-        for index in 0..app.iterations {
-            let out = run_iteration(ctx.platform, app, &active, &work, t);
-            ctx.emit_iteration(index, &active, t, &out);
-
-            for (k, &h) in active.iter().enumerate() {
-                histories
-                    .get_mut(&h)
-                    .expect("active host is in pool")
-                    .record(out.end, out.measured_rates[k]);
-            }
-            for &h in pool.iter().filter(|h| !active.contains(h)) {
-                let probed = probe_host(ctx.platform, h, t, out.compute_end);
-                histories
-                    .get_mut(&h)
-                    .expect("spare host is in pool")
-                    .record(out.end, probed);
-                ctx.emit(|| obs::TraceEvent::Probe {
-                    t: out.end,
-                    host: h,
-                    rate: probed,
-                });
-            }
-
-            let active_during = active.clone();
-            let mut adapt_time = 0.0;
-            if index + 1 < app.iterations {
-                let iter_time = out.end - t;
-                let snapshots: Vec<ProcessorSnapshot> = pool
-                    .iter()
-                    .map(|&h| ProcessorSnapshot {
-                        id: h,
-                        active: active.contains(&h),
-                        predicted_perf: histories[&h]
-                            .predict(self.policy.predictor, self.policy.history, out.end)
-                            .expect("history has at least one sample"),
-                    })
-                    .collect();
-                // The CR trigger: would the swap criteria fire?
-                let decision = engine.decide(&snapshots, iter_time, app.process_state_bytes);
-                ctx.emit(|| obs::TraceEvent::SwapDecision {
-                    t: out.end,
-                    iter: index,
-                    old_iter_time: iter_time,
-                    swap_time: engine.cost().swap_time(app.process_state_bytes),
-                    app_improvement: decision.app_improvement,
-                    stopped_because: decision.stopped_because,
-                    admitted: decision.pairs.clone(),
-                    rejected: decision.rejected,
-                });
-                if decision.will_swap() {
-                    // Relocate to the N best-predicted processors.
-                    let mut ranked: Vec<&ProcessorSnapshot> = snapshots.iter().collect();
-                    ranked.sort_by(|a, b| {
-                        b.predicted_perf
-                            .total_cmp(&a.predicted_perf)
-                            .then(a.id.cmp(&b.id))
-                    });
-                    active = ranked[..n].iter().map(|s| s.id).collect();
-                    adapt_time = cycle_cost;
-                    restarts += 1;
-                    ctx.emit(|| obs::TraceEvent::Checkpoint {
-                        t: out.end,
-                        iter: index,
-                        bytes: n as f64 * app.process_state_bytes,
-                        pause_secs: cycle_cost,
-                    });
-                }
-            }
-
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time,
-                active: active_during,
-            });
-            adapt_total += adapt_time;
-            t = out.end + adapt_time;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: restarts,
-            adapt_time_total: adapt_total,
-            iterations,
-            failures: 0,
-            recoveries: 0,
-            aborts: 0,
-            truncated: false,
         }
     }
 }
@@ -425,5 +345,24 @@ mod tests {
         let a = Cr::greedy().run(&RunContext::new(&p, &app, 8));
         let b = Cr::greedy().run(&RunContext::new(&p, &app, 8));
         assert_eq!(a.execution_time, b.execution_time);
+    }
+
+    #[test]
+    fn crash_without_a_cadence_rolls_back_to_the_input_deck() {
+        // Quiescent hosts: no performance restart ever writes a
+        // checkpoint, so a crash under a plan without a cadence loses
+        // every iteration done so far.
+        let p = small_platform(LoadSpec::Unloaded, 0);
+        let app = small_app();
+        let clean = Cr::greedy().run(&RunContext::new(&p, &app, 8));
+        let victim = clean.iterations[0].active[0];
+        let crash = clean.iterations[10].end - 1.0;
+        let mut plan = faults::FaultPlan::empty(p.hosts.len(), 1e9);
+        plan.hosts[victim].crash = Some(crash);
+        let r = Cr::greedy().run(&RunContext::new(&p, &app, 8).with_faults(&plan));
+        assert_eq!((r.failures, r.recoveries, r.adaptations), (1, 1, 1));
+        assert_eq!(r.iterations.len(), app.iterations);
+        assert!(r.iterations[0].start > crash, "iteration 0 was not redone");
+        assert!(r.iterations.iter().all(|it| !it.active.contains(&victim)));
     }
 }

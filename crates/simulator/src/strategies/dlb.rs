@@ -14,102 +14,18 @@
 //! performance changes quickly and the application is left computing a
 //! lot of work on a (suddenly) slow processor."
 
-use super::{rank_by_probe, RunContext, Strategy};
-use crate::exec::{run_iteration, run_iteration_faults, IterationRecord, RunResult};
-use crate::schedule::{balanced_partition, fastest_hosts};
+use super::nothing::run_resubmitting;
+use super::{Partition, RunContext, Strategy};
+use crate::exec::RunResult;
 
 /// Ideal (zero-cost, perfectly informed at rebalance time) dynamic load
 /// balancing over the initially chosen `N` processors.
+///
+/// Under faults DLB behaves like NOTHING: it has no spare pool and no
+/// checkpoints, so a crash aborts the run and resubmission restarts it
+/// from scratch on the best surviving hosts (rebalancing resumes there).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Dlb;
-
-impl Dlb {
-    /// Failure-aware variant: like NOTHING, DLB has no spare pool and no
-    /// checkpoints, so a crash aborts the run and resubmission restarts
-    /// it from scratch on the best surviving hosts (rebalancing resumes
-    /// there). Censored at the plan's horizon if too few hosts survive.
-    fn run_faults(&self, ctx: &RunContext<'_>, plan: &faults::FaultPlan) -> RunResult {
-        let app = ctx.app;
-        let n = app.n_active;
-        let mut active = fastest_hosts(ctx.platform, n, 0.0);
-        let total = app.total_flops_per_iter();
-
-        let startup = ctx.platform.startup_time(n);
-        let mut t = startup;
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let (mut failures, mut aborts) = (0usize, 0usize);
-        let mut truncated = false;
-        let mut adapt_total = 0.0;
-        let mut index = 0;
-        while index < app.iterations {
-            let speeds: Vec<f64> = active
-                .iter()
-                .map(|&h| ctx.platform.hosts[h].delivered_at(t))
-                .collect();
-            let work = balanced_partition(total, &speeds);
-            let fi = run_iteration_faults(ctx.platform, app, &active, &work, t, plan);
-            if !fi.failed.is_empty() {
-                failures += fi.failed.len();
-                aborts += 1;
-                let detected = fi.detected;
-                for &h in &fi.failed {
-                    ctx.emit(|| obs::TraceEvent::FailureDetected {
-                        t: detected,
-                        host: h,
-                        iter: Some(index),
-                        cause: obs::FailureCause::InjectedCrash,
-                        detail: None,
-                    });
-                }
-                let alive = plan.alive_hosts(detected);
-                if alive.len() < n {
-                    truncated = true;
-                    t = plan.horizon.max(detected);
-                    break;
-                }
-                active = rank_by_probe(ctx.platform, alive, t, detected)[..n].to_vec();
-                let pause = ctx.platform.startup_time(n);
-                ctx.emit(|| obs::TraceEvent::RecoveryComplete {
-                    t: detected + pause,
-                    host: fi.failed[0],
-                    replacement: None,
-                    action: obs::RecoveryAction::Abort,
-                    pause_secs: pause,
-                });
-                adapt_total += pause;
-                t = detected + pause;
-                index = 0;
-                iterations.clear();
-                continue;
-            }
-            let out = fi.outcome;
-            ctx.emit_iteration(index, &active, t, &out);
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time: 0.0,
-                active: active.clone(),
-            });
-            t = out.end;
-            index += 1;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: 0,
-            adapt_time_total: adapt_total,
-            iterations,
-            failures,
-            recoveries: 0,
-            aborts,
-            truncated,
-        }
-    }
-}
 
 impl Strategy for Dlb {
     fn name(&self) -> String {
@@ -117,48 +33,7 @@ impl Strategy for Dlb {
     }
 
     fn run(&self, ctx: &RunContext<'_>) -> RunResult {
-        if let Some(plan) = ctx.faults {
-            return self.run_faults(ctx, plan);
-        }
-        let n = ctx.app.n_active;
-        let active = fastest_hosts(ctx.platform, n, 0.0);
-        let total = ctx.app.total_flops_per_iter();
-
-        let startup = ctx.platform.startup_time(n);
-        let mut t = startup;
-        let mut iterations = Vec::with_capacity(ctx.app.iterations);
-        for index in 0..ctx.app.iterations {
-            // Instantaneous delivered speeds at the rebalance point.
-            let speeds: Vec<f64> = active
-                .iter()
-                .map(|&h| ctx.platform.hosts[h].delivered_at(t))
-                .collect();
-            let work = balanced_partition(total, &speeds);
-            let out = run_iteration(ctx.platform, ctx.app, &active, &work, t);
-            ctx.emit_iteration(index, &active, t, &out);
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time: 0.0,
-                active: active.clone(),
-            });
-            t = out.end;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: 0,
-            adapt_time_total: 0.0,
-            iterations,
-            failures: 0,
-            recoveries: 0,
-            aborts: 0,
-            truncated: false,
-        }
+        run_resubmitting(ctx, self.name(), Partition::Balanced)
     }
 }
 

@@ -11,13 +11,16 @@
 //! (like [`super::Swap`]): load balancing handles intra-set skew, while
 //! swapping escapes processors whose absolute performance has collapsed.
 
-use super::{choose_spare, RunContext, Strategy};
-use crate::exec::{probe_host, run_iteration, run_iteration_faults, IterationRecord, RunResult};
-use crate::schedule::{balanced_partition, fastest_hosts};
-use std::collections::HashMap;
-use swap_core::{DecisionEngine, PerfHistory, PolicyParams, ProcessorSnapshot, SwapCost};
+use super::swap::run_swapping;
+use super::{Partition, RunContext, Strategy};
+use crate::exec::RunResult;
+use swap_core::PolicyParams;
 
 /// Ideal DLB over an over-allocated pool, with policy-driven swapping.
+///
+/// Under faults it keeps SWAP's failure semantics (a crashed active slot
+/// is a mandatory swap to the best surviving spare, state restored from
+/// the last snapshot) with DLB's per-iteration rebalancing on top.
 #[derive(Clone, Copy, Debug)]
 pub struct DlbSwap {
     policy: PolicyParams,
@@ -35,190 +38,6 @@ impl DlbSwap {
     pub fn new(policy: PolicyParams) -> Self {
         DlbSwap { policy }
     }
-
-    /// Failure-aware variant: identical failure semantics to
-    /// [`super::Swap`] (a crashed active slot is a mandatory swap to the
-    /// best surviving spare, state restored from the last snapshot) with
-    /// DLB's per-iteration rebalancing layered on top.
-    fn run_faults(&self, ctx: &RunContext<'_>, plan: &faults::FaultPlan) -> RunResult {
-        let app = ctx.app;
-        let n = app.n_active;
-        let alloc = ctx.allocated;
-        let total = app.total_flops_per_iter();
-
-        let mut pool = fastest_hosts(ctx.platform, alloc, 0.0);
-        let mut active: Vec<usize> = pool[..n].to_vec();
-
-        let engine = DecisionEngine::new(self.policy, SwapCost::from_link(ctx.platform.link));
-        let mut histories: HashMap<usize, PerfHistory> =
-            pool.iter().map(|&h| (h, PerfHistory::new())).collect();
-
-        let startup = ctx.platform.startup_time(alloc);
-        let mut t = startup;
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let mut swaps = 0usize;
-        let mut adapt_total = 0.0;
-        let (mut failures, mut recoveries) = (0usize, 0usize);
-        let mut truncated = false;
-
-        let mut index = 0;
-        while index < app.iterations {
-            let speeds: Vec<f64> = active
-                .iter()
-                .map(|&h| ctx.platform.hosts[h].delivered_at(t))
-                .collect();
-            let work = balanced_partition(total, &speeds);
-            let fi = run_iteration_faults(ctx.platform, app, &active, &work, t, plan);
-            if !fi.failed.is_empty() {
-                failures += fi.failed.len();
-                let detected = fi.detected;
-                for &h in &fi.failed {
-                    ctx.emit(|| obs::TraceEvent::FailureDetected {
-                        t: detected,
-                        host: h,
-                        iter: Some(index),
-                        cause: obs::FailureCause::InjectedCrash,
-                        detail: None,
-                    });
-                }
-                pool.retain(|&h| !plan.is_crashed(h, detected));
-                let mut pause = 0.0;
-                let mut stranded = false;
-                for &dead in &fi.failed {
-                    let spares = pool.iter().copied().filter(|h| !active.contains(h));
-                    let Some(best) = choose_spare(ctx, plan, spares, dead, t, detected) else {
-                        stranded = true;
-                        break;
-                    };
-                    let slot = active
-                        .iter()
-                        .position(|&h| h == dead)
-                        .expect("failed host is active");
-                    active[slot] = best;
-                    let transfer = ctx.platform.link.transfer_time(app.process_state_bytes);
-                    ctx.emit(|| obs::TraceEvent::SwapExec {
-                        t: detected + pause,
-                        iter: index,
-                        from: dead,
-                        to: best,
-                        bytes: app.process_state_bytes,
-                        transfer_secs: transfer,
-                    });
-                    pause += transfer;
-                    ctx.emit(|| obs::TraceEvent::RecoveryComplete {
-                        t: detected + pause,
-                        host: dead,
-                        replacement: Some(best),
-                        action: obs::RecoveryAction::SpareSwap,
-                        pause_secs: transfer,
-                    });
-                    swaps += 1;
-                    recoveries += 1;
-                }
-                if stranded {
-                    truncated = true;
-                    t = plan.horizon.max(detected);
-                    break;
-                }
-                adapt_total += pause;
-                t = detected + pause;
-                continue;
-            }
-
-            let out = fi.outcome;
-            ctx.emit_iteration(index, &active, t, &out);
-            pool.retain(|&h| !plan.is_crashed(h, out.end));
-
-            for (k, &h) in active.iter().enumerate() {
-                histories
-                    .get_mut(&h)
-                    .expect("active host is in pool")
-                    .record(out.end, out.measured_rates[k]);
-            }
-            for &h in pool.iter().filter(|h| !active.contains(h)) {
-                let probed = probe_host(ctx.platform, h, t, out.compute_end);
-                histories
-                    .get_mut(&h)
-                    .expect("spare host is in pool")
-                    .record(out.end, probed);
-                ctx.emit(|| obs::TraceEvent::Probe {
-                    t: out.end,
-                    host: h,
-                    rate: probed,
-                });
-            }
-
-            let active_during = active.clone();
-            let mut adapt_time = 0.0;
-            if index + 1 < app.iterations {
-                let iter_time = out.end - t;
-                let snapshots: Vec<ProcessorSnapshot> = pool
-                    .iter()
-                    .map(|&h| ProcessorSnapshot {
-                        id: h,
-                        active: active.contains(&h),
-                        predicted_perf: histories[&h]
-                            .predict(self.policy.predictor, self.policy.history, out.end)
-                            .expect("history has at least one sample"),
-                    })
-                    .collect();
-                let decision = engine.decide(&snapshots, iter_time, app.process_state_bytes);
-                ctx.emit(|| obs::TraceEvent::SwapDecision {
-                    t: out.end,
-                    iter: index,
-                    old_iter_time: iter_time,
-                    swap_time: engine.cost().swap_time(app.process_state_bytes),
-                    app_improvement: decision.app_improvement,
-                    stopped_because: decision.stopped_because,
-                    admitted: decision.pairs.clone(),
-                    rejected: decision.rejected,
-                });
-                for pair in &decision.pairs {
-                    let slot = active
-                        .iter()
-                        .position(|&h| h == pair.from)
-                        .expect("engine swaps an active host");
-                    active[slot] = pair.to;
-                    let transfer = ctx.platform.link.transfer_time(app.process_state_bytes);
-                    ctx.emit(|| obs::TraceEvent::SwapExec {
-                        t: out.end + adapt_time,
-                        iter: index,
-                        from: pair.from,
-                        to: pair.to,
-                        bytes: app.process_state_bytes,
-                        transfer_secs: transfer,
-                    });
-                    adapt_time += transfer;
-                }
-                swaps += decision.pairs.len();
-            }
-
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time,
-                active: active_during,
-            });
-            adapt_total += adapt_time;
-            t = out.end + adapt_time;
-            index += 1;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: swaps,
-            adapt_time_total: adapt_total,
-            iterations,
-            failures,
-            recoveries,
-            aborts: 0,
-            truncated,
-        }
-    }
 }
 
 impl Strategy for DlbSwap {
@@ -227,126 +46,7 @@ impl Strategy for DlbSwap {
     }
 
     fn run(&self, ctx: &RunContext<'_>) -> RunResult {
-        if let Some(plan) = ctx.faults {
-            return self.run_faults(ctx, plan);
-        }
-        let app = ctx.app;
-        let n = app.n_active;
-        let alloc = ctx.allocated;
-        let total = app.total_flops_per_iter();
-
-        let pool = fastest_hosts(ctx.platform, alloc, 0.0);
-        let mut active: Vec<usize> = pool[..n].to_vec();
-
-        let engine = DecisionEngine::new(self.policy, SwapCost::from_link(ctx.platform.link));
-        let mut histories: HashMap<usize, PerfHistory> =
-            pool.iter().map(|&h| (h, PerfHistory::new())).collect();
-
-        let startup = ctx.platform.startup_time(alloc);
-        let mut t = startup;
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let mut swaps = 0usize;
-        let mut adapt_total = 0.0;
-
-        for index in 0..app.iterations {
-            // DLB half: rebalance on the speeds observed right now.
-            let speeds: Vec<f64> = active
-                .iter()
-                .map(|&h| ctx.platform.hosts[h].delivered_at(t))
-                .collect();
-            let work = balanced_partition(total, &speeds);
-            let out = run_iteration(ctx.platform, app, &active, &work, t);
-            ctx.emit_iteration(index, &active, t, &out);
-
-            for (k, &h) in active.iter().enumerate() {
-                histories
-                    .get_mut(&h)
-                    .expect("active host is in pool")
-                    .record(out.end, out.measured_rates[k]);
-            }
-            for &h in pool.iter().filter(|h| !active.contains(h)) {
-                let probed = probe_host(ctx.platform, h, t, out.compute_end);
-                histories
-                    .get_mut(&h)
-                    .expect("spare host is in pool")
-                    .record(out.end, probed);
-                ctx.emit(|| obs::TraceEvent::Probe {
-                    t: out.end,
-                    host: h,
-                    rate: probed,
-                });
-            }
-
-            let active_during = active.clone();
-            // Swap half: same decision path as the SWAP strategy.
-            let mut adapt_time = 0.0;
-            if index + 1 < app.iterations {
-                let iter_time = out.end - t;
-                let snapshots: Vec<ProcessorSnapshot> = pool
-                    .iter()
-                    .map(|&h| ProcessorSnapshot {
-                        id: h,
-                        active: active.contains(&h),
-                        predicted_perf: histories[&h]
-                            .predict(self.policy.predictor, self.policy.history, out.end)
-                            .expect("history has at least one sample"),
-                    })
-                    .collect();
-                let decision = engine.decide(&snapshots, iter_time, app.process_state_bytes);
-                ctx.emit(|| obs::TraceEvent::SwapDecision {
-                    t: out.end,
-                    iter: index,
-                    old_iter_time: iter_time,
-                    swap_time: engine.cost().swap_time(app.process_state_bytes),
-                    app_improvement: decision.app_improvement,
-                    stopped_because: decision.stopped_because,
-                    admitted: decision.pairs.clone(),
-                    rejected: decision.rejected,
-                });
-                for pair in &decision.pairs {
-                    let slot = active
-                        .iter()
-                        .position(|&h| h == pair.from)
-                        .expect("engine swaps an active host");
-                    active[slot] = pair.to;
-                    let transfer = ctx.platform.link.transfer_time(app.process_state_bytes);
-                    ctx.emit(|| obs::TraceEvent::SwapExec {
-                        t: out.end + adapt_time,
-                        iter: index,
-                        from: pair.from,
-                        to: pair.to,
-                        bytes: app.process_state_bytes,
-                        transfer_secs: transfer,
-                    });
-                    adapt_time += transfer;
-                }
-                swaps += decision.pairs.len();
-            }
-
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time,
-                active: active_during,
-            });
-            adapt_total += adapt_time;
-            t = out.end + adapt_time;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: swaps,
-            adapt_time_total: adapt_total,
-            iterations,
-            failures: 0,
-            recoveries: 0,
-            aborts: 0,
-            truncated: false,
-        }
+        run_swapping(ctx, self.name(), self.policy, None, Partition::Balanced)
     }
 }
 

@@ -2,7 +2,9 @@
 //!
 //! All strategies share the BSP execution core ([`crate::exec`]) and the
 //! initial-schedule rules ([`crate::schedule`]); they differ only in what
-//! they do at iteration boundaries.
+//! they do at iteration boundaries. Each runs one iteration loop under
+//! the context's fault plan, with a recovery branch for the iterations a
+//! crash fails; a fault-free run is the same loop under the inert plan.
 
 mod cr;
 mod dlb;
@@ -21,6 +23,7 @@ pub use swap::Swap;
 use crate::app::AppSpec;
 use crate::exec::{IterationOutcome, RunResult};
 use crate::platform::Platform;
+use crate::schedule::{balanced_partition, equal_partition};
 
 /// Everything a strategy needs for one run.
 #[derive(Clone, Copy)]
@@ -36,10 +39,13 @@ pub struct RunContext<'a> {
     /// Optional trace sink. `None` (the default) is the zero-cost path:
     /// every emission site is one branch on this option.
     pub trace: Option<&'a dyn obs::TraceSink>,
-    /// Optional fault schedule. `None` (the default) selects the exact
-    /// fault-free code path — strategies branch on this once at the top
-    /// of `run`, so disabled faults cannot perturb the simulation.
-    pub faults: Option<&'a faults::FaultPlan>,
+    /// The fault schedule the run executes under. [`RunContext::new`]
+    /// starts from [`faults::FaultPlan::inert`]: no crashes, blackouts
+    /// or link windows, and no checkpoint cadence. A fault-free run is
+    /// the same loop as a fault run; its recovery branch never fires,
+    /// and CR picks its performance-triggered restarts because the plan
+    /// carries no cadence.
+    pub faults: &'a faults::FaultPlan,
     /// Optional decision-policy bundle. `None` (the default) keeps the
     /// legacy inline choices (probe-ranked spare placement, fixed
     /// checkpoint cadence) with no `PolicyDecision` events, so runs
@@ -48,8 +54,8 @@ pub struct RunContext<'a> {
 }
 
 impl<'a> RunContext<'a> {
-    /// Creates a context, validating the application spec against the
-    /// platform.
+    /// Creates a context under the inert fault plan, validating the
+    /// application spec against the platform.
     ///
     /// # Panics
     /// Panics if the app needs more active processors than the platform
@@ -67,7 +73,7 @@ impl<'a> RunContext<'a> {
             app,
             allocated: allocated.clamp(app.n_active, platform.hosts.len()),
             trace: None,
-            faults: None,
+            faults: faults::FaultPlan::inert(),
             policies: None,
         }
     }
@@ -79,17 +85,19 @@ impl<'a> RunContext<'a> {
         self
     }
 
-    /// Attaches a fault schedule; strategies switch to their
-    /// failure-aware execution paths. The platform must already carry the
-    /// plan's blackouts (see [`Platform::apply_blackouts`]).
+    /// Runs under `plan` instead of the inert plan: its crashes fire
+    /// the strategies' recovery branches, and its checkpoint cadence
+    /// switches CR to fault-tolerant checkpointing. The platform must
+    /// already carry the plan's blackouts (see
+    /// [`Platform::apply_blackouts`]).
     pub fn with_faults(mut self, plan: &'a faults::FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.faults = plan;
         self
     }
 
-    /// Attaches a policy bundle; the failure-aware strategy paths consult
-    /// it at their placement and checkpoint decision points (and emit a
-    /// `PolicyDecision` event per consultation).
+    /// Attaches a policy bundle; strategies consult it at recovery
+    /// placement and at CR's checkpoint cadence (and emit a
+    /// `PolicyDecision` event per placement).
     pub fn with_policies(mut self, policies: &'a policy::PolicySet) -> Self {
         self.policies = Some(policies);
         self
@@ -99,6 +107,20 @@ impl<'a> RunContext<'a> {
     pub(crate) fn emit(&self, event: impl FnOnce() -> obs::TraceEvent) {
         if let Some(sink) = self.trace {
             sink.emit(event());
+        }
+    }
+
+    /// Emits one `FailureDetected` event per crashed active host of
+    /// iteration `iter`, all at the detection instant `t`.
+    pub(crate) fn emit_failures(&self, failed: &[usize], t: f64, iter: usize) {
+        for &host in failed {
+            self.emit(|| obs::TraceEvent::FailureDetected {
+                t,
+                host,
+                iter: Some(iter),
+                cause: obs::FailureCause::InjectedCrash,
+                detail: None,
+            });
         }
     }
 
@@ -133,6 +155,36 @@ impl<'a> RunContext<'a> {
     }
 }
 
+/// How the application's work is divided among its active processes:
+/// the one thing NOTHING and DLB (and SWAP and DLB+SWAP) differ in.
+#[derive(Clone, Copy)]
+enum Partition {
+    /// Equal chunks, the same every iteration (§6, "Initial schedule").
+    Equal,
+    /// Ideal DLB: chunks proportional to the speeds each host delivers
+    /// at the iteration's start.
+    Balanced,
+}
+
+impl Partition {
+    /// Writes the work of the iteration starting at `t` on `active`
+    /// into `work`. Equal chunks never change, so they are filled once
+    /// and kept.
+    fn assign(self, ctx: &RunContext<'_>, active: &[usize], t: f64, work: &mut Vec<f64>) {
+        match self {
+            Partition::Equal if work.len() == active.len() => {}
+            Partition::Equal => *work = equal_partition(active.len(), ctx.app.flops_per_proc_iter),
+            Partition::Balanced => {
+                let speeds: Vec<f64> = active
+                    .iter()
+                    .map(|&h| ctx.platform.hosts[h].delivered_at(t))
+                    .collect();
+                *work = balanced_partition(ctx.app.total_flops_per_iter(), &speeds);
+            }
+        }
+    }
+}
+
 /// Ranks `candidates` by mean delivered speed over `[t0, t1]` (best
 /// first, ties by id) — how a recovering manager picks replacement hosts:
 /// it has probe measurements over the failed iteration's window, nothing
@@ -156,19 +208,19 @@ pub(crate) fn rank_by_probe(
 /// plan makes observable (effective MTBF, distribution family, failure
 /// domain, last rack alarm at or before `t1`).
 pub(crate) fn policy_candidates(
-    plan: &faults::FaultPlan,
-    platform: &Platform,
+    ctx: &RunContext<'_>,
     ranked: &[usize],
     t0: f64,
     t1: f64,
 ) -> Vec<policy::SpareCandidate> {
+    let plan = ctx.faults;
     ranked
         .iter()
         .map(|&h| {
             let domain = plan.domain_of(h);
             policy::SpareCandidate {
                 host: h,
-                probe_rate: crate::exec::probe_host(platform, h, t0, t1),
+                probe_rate: crate::exec::probe_host(ctx.platform, h, t0, t1),
                 uptime_secs: t1,
                 mtbf_secs: plan.host_mtbf(h),
                 dist: plan.crash_dist,
@@ -187,7 +239,6 @@ pub(crate) fn policy_candidates(
 /// policy layer existed.
 pub(crate) fn choose_spare(
     ctx: &RunContext<'_>,
-    plan: &faults::FaultPlan,
     spares: impl IntoIterator<Item = usize>,
     dead: usize,
     t0: f64,
@@ -197,7 +248,7 @@ pub(crate) fn choose_spare(
     let Some(ps) = ctx.policies else {
         return probe_ranked.first().copied();
     };
-    let candidates = policy_candidates(plan, ctx.platform, &probe_ranked, t0, t1);
+    let candidates = policy_candidates(ctx, &probe_ranked, t0, t1);
     let ranked = ps.placement.rank(&candidates, t1);
     let chosen = ranked.first().copied();
     ctx.emit(|| obs::TraceEvent::PolicyDecision {

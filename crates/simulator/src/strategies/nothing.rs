@@ -1,101 +1,13 @@
 //! The NOTHING baseline: schedule once, never adapt.
 
-use super::{rank_by_probe, RunContext, Strategy};
-use crate::exec::{run_iteration, run_iteration_faults, IterationRecord, RunResult};
-use crate::schedule::{equal_partition, fastest_hosts};
+use super::{rank_by_probe, Partition, RunContext, Strategy};
+use crate::exec::{run_iteration, FaultedIteration, IterationRecord, RunResult};
+use crate::schedule::fastest_hosts;
 
 /// "Do nothing": start on the `N` fastest processors and stay there,
 /// equal work partition, whatever the environment does afterwards.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Nothing;
-
-impl Nothing {
-    /// Failure-aware variant: NOTHING has no recovery mechanism, so a
-    /// crashed active host aborts the whole run. We model resubmission
-    /// semantics — the job restarts from scratch (losing all completed
-    /// iterations) on the `N` best surviving hosts — which is what a
-    /// batch system would do. If fewer than `N` hosts survive, the run
-    /// can never finish and its execution time is censored at the fault
-    /// plan's horizon.
-    fn run_faults(&self, ctx: &RunContext<'_>, plan: &faults::FaultPlan) -> RunResult {
-        let app = ctx.app;
-        let n = app.n_active;
-        let mut active = fastest_hosts(ctx.platform, n, 0.0);
-        let work = equal_partition(n, app.flops_per_proc_iter);
-
-        let startup = ctx.platform.startup_time(n);
-        let mut t = startup;
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let (mut failures, mut aborts) = (0usize, 0usize);
-        let mut truncated = false;
-        let mut adapt_total = 0.0;
-        let mut index = 0;
-        while index < app.iterations {
-            let fi = run_iteration_faults(ctx.platform, app, &active, &work, t, plan);
-            if !fi.failed.is_empty() {
-                failures += fi.failed.len();
-                aborts += 1;
-                let detected = fi.detected;
-                for &h in &fi.failed {
-                    ctx.emit(|| obs::TraceEvent::FailureDetected {
-                        t: detected,
-                        host: h,
-                        iter: Some(index),
-                        cause: obs::FailureCause::InjectedCrash,
-                        detail: None,
-                    });
-                }
-                let alive = plan.alive_hosts(detected);
-                if alive.len() < n {
-                    truncated = true;
-                    t = plan.horizon.max(detected);
-                    break;
-                }
-                // Resubmission: restart from iteration 0 on the best
-                // survivors, paying startup again.
-                active = rank_by_probe(ctx.platform, alive, t, detected)[..n].to_vec();
-                let pause = ctx.platform.startup_time(n);
-                ctx.emit(|| obs::TraceEvent::RecoveryComplete {
-                    t: detected + pause,
-                    host: fi.failed[0],
-                    replacement: None,
-                    action: obs::RecoveryAction::Abort,
-                    pause_secs: pause,
-                });
-                adapt_total += pause;
-                t = detected + pause;
-                index = 0;
-                iterations.clear();
-                continue;
-            }
-            let out = fi.outcome;
-            ctx.emit_iteration(index, &active, t, &out);
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time: 0.0,
-                active: active.clone(),
-            });
-            t = out.end;
-            index += 1;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: 0,
-            adapt_time_total: adapt_total,
-            iterations,
-            failures,
-            recoveries: 0,
-            aborts,
-            truncated,
-        }
-    }
-}
 
 impl Strategy for Nothing {
     fn name(&self) -> String {
@@ -103,42 +15,91 @@ impl Strategy for Nothing {
     }
 
     fn run(&self, ctx: &RunContext<'_>) -> RunResult {
-        if let Some(plan) = ctx.faults {
-            return self.run_faults(ctx, plan);
-        }
-        let n = ctx.app.n_active;
-        let active = fastest_hosts(ctx.platform, n, 0.0);
-        let work = equal_partition(n, ctx.app.flops_per_proc_iter);
+        run_resubmitting(ctx, self.name(), Partition::Equal)
+    }
+}
 
-        let startup = ctx.platform.startup_time(n);
-        let mut t = startup;
-        let mut iterations = Vec::with_capacity(ctx.app.iterations);
-        for index in 0..ctx.app.iterations {
-            let out = run_iteration(ctx.platform, ctx.app, &active, &work, t);
-            ctx.emit_iteration(index, &active, t, &out);
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time: 0.0,
-                active: active.clone(),
+/// The loop NOTHING and DLB share: start on the `N` fastest hosts and
+/// never move by choice. Neither has a recovery mechanism, so a crashed
+/// active host aborts the whole run. We model resubmission semantics —
+/// the job restarts from scratch (losing all completed iterations) on
+/// the `N` best surviving hosts, paying startup again — which is what a
+/// batch system would do. If fewer than `N` hosts survive, the run can
+/// never finish and its execution time is censored at the fault plan's
+/// horizon.
+pub(super) fn run_resubmitting(
+    ctx: &RunContext<'_>,
+    strategy: String,
+    partition: Partition,
+) -> RunResult {
+    let app = ctx.app;
+    let plan = ctx.faults;
+    let n = app.n_active;
+    let mut active = fastest_hosts(ctx.platform, n, 0.0);
+    let mut work = Vec::new();
+
+    let startup = ctx.platform.startup_time(n);
+    let mut t = startup;
+    let mut iterations = Vec::with_capacity(app.iterations);
+    let (mut failures, mut aborts) = (0usize, 0usize);
+    let mut truncated = false;
+    let mut adapt_total = 0.0;
+    let mut fi = FaultedIteration::default();
+    let mut index = 0;
+    while index < app.iterations {
+        partition.assign(ctx, &active, t, &mut work);
+        run_iteration(ctx.platform, app, &active, &work, t, plan, &mut fi);
+        if !fi.failed.is_empty() {
+            failures += fi.failed.len();
+            aborts += 1;
+            let detected = fi.detected;
+            ctx.emit_failures(&fi.failed, detected, index);
+            let alive = plan.alive_hosts(ctx.platform.hosts.len(), detected);
+            if alive.len() < n {
+                truncated = true;
+                t = plan.horizon.max(detected);
+                break;
+            }
+            active = rank_by_probe(ctx.platform, alive, t, detected)[..n].to_vec();
+            let pause = ctx.platform.startup_time(n);
+            ctx.emit(|| obs::TraceEvent::RecoveryComplete {
+                t: detected + pause,
+                host: fi.failed[0],
+                replacement: None,
+                action: obs::RecoveryAction::Abort,
+                pause_secs: pause,
             });
-            t = out.end;
+            adapt_total += pause;
+            t = detected + pause;
+            index = 0;
+            iterations.clear();
+            continue;
         }
+        let out = &fi.outcome;
+        ctx.emit_iteration(index, &active, t, out);
+        iterations.push(IterationRecord {
+            index,
+            start: t,
+            compute_end: out.compute_end,
+            end: out.end,
+            adapt_time: 0.0,
+            active: active.clone(),
+        });
+        t = out.end;
+        index += 1;
+    }
 
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: 0,
-            adapt_time_total: 0.0,
-            iterations,
-            failures: 0,
-            recoveries: 0,
-            aborts: 0,
-            truncated: false,
-        }
+    RunResult {
+        strategy,
+        execution_time: t,
+        startup_time: startup,
+        adaptations: 0,
+        adapt_time_total: adapt_total,
+        iterations,
+        failures,
+        recoveries: 0,
+        aborts,
+        truncated,
     }
 }
 

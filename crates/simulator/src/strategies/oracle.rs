@@ -9,11 +9,18 @@
 //! quantifies it).
 
 use super::{RunContext, Strategy};
-use crate::exec::{run_iteration, run_iteration_faults, IterationRecord, RunResult};
+use crate::exec::{run_iteration, FaultedIteration, IterationRecord, RunResult};
 use crate::schedule::equal_partition;
 
 /// Free-migration, future-seeing host selection — an upper bound on every
 /// swapping policy.
+///
+/// Under faults the oracle also foresees crashes, but we keep it honest
+/// by only letting it avoid hosts already dead at the iteration start (it
+/// still places ahead by delivered capacity, so a mid-iteration crash can
+/// catch it). Recovery is free: the lost iteration is retried from the
+/// detection instant on the best survivors, with no transfer or restart
+/// pause — the upper bound no real recovery protocol can beat.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Oracle;
 
@@ -22,12 +29,12 @@ impl Oracle {
     /// `[t, t + window]`, best first, drawn from `candidates`.
     fn best_hosts_over(
         ctx: &RunContext<'_>,
-        candidates: impl IntoIterator<Item = usize>,
+        candidates: Vec<usize>,
         n: usize,
         t: f64,
         window: f64,
     ) -> Vec<usize> {
-        let mut ids: Vec<usize> = candidates.into_iter().collect();
+        let mut ids = candidates;
         ids.sort_by(|&a, &b| {
             let ca = ctx.platform.hosts[a].cpu.capacity(t, t + window);
             let cb = ctx.platform.hosts[b].cpu.capacity(t, t + window);
@@ -36,30 +43,34 @@ impl Oracle {
         ids.truncate(n);
         ids
     }
+}
 
-    /// Failure-aware variant: the oracle also foresees crashes, but we
-    /// keep it honest by only letting it avoid hosts already dead at the
-    /// iteration start (it still places ahead by delivered capacity, so a
-    /// mid-iteration crash can catch it). Recovery is free: the lost
-    /// iteration is retried from the detection instant on the best
-    /// survivors, with no transfer or restart pause — the upper bound no
-    /// real recovery protocol can beat.
-    fn run_faults(&self, ctx: &RunContext<'_>, plan: &faults::FaultPlan) -> RunResult {
+impl Strategy for Oracle {
+    fn name(&self) -> String {
+        "oracle".to_owned()
+    }
+
+    fn run(&self, ctx: &RunContext<'_>) -> RunResult {
         let app = ctx.app;
+        let plan = ctx.faults;
         let n = app.n_active;
         let work = equal_partition(n, app.flops_per_proc_iter);
+        // Startup like NOTHING: the oracle needs no spare pool.
         let startup = ctx.platform.startup_time(n);
         let mut t = startup;
+        // Look-ahead window: the unloaded iteration time on a mid-range
+        // host, refined to the previous iteration's actual length.
         let mut window = app.unloaded_iter_time(3.0e8);
         let mut iterations = Vec::with_capacity(app.iterations);
         let mut moves = 0usize;
         let (mut failures, mut recoveries) = (0usize, 0usize);
         let mut truncated = false;
         let mut prev_active: Option<Vec<usize>> = None;
+        let mut fi = FaultedIteration::default();
 
         let mut index = 0;
         while index < app.iterations {
-            let alive = plan.alive_hosts(t);
+            let alive = plan.alive_hosts(ctx.platform.hosts.len(), t);
             if alive.len() < n {
                 truncated = true;
                 t = plan.horizon.max(t);
@@ -69,19 +80,11 @@ impl Oracle {
             if let Some(prev) = &prev_active {
                 moves += active.iter().filter(|h| !prev.contains(h)).count();
             }
-            let fi = run_iteration_faults(ctx.platform, app, &active, &work, t, plan);
+            run_iteration(ctx.platform, app, &active, &work, t, plan, &mut fi);
             if !fi.failed.is_empty() {
                 failures += fi.failed.len();
                 let detected = fi.detected;
-                for &h in &fi.failed {
-                    ctx.emit(|| obs::TraceEvent::FailureDetected {
-                        t: detected,
-                        host: h,
-                        iter: Some(index),
-                        cause: obs::FailureCause::InjectedCrash,
-                        detail: None,
-                    });
-                }
+                ctx.emit_failures(&fi.failed, detected, index);
                 ctx.emit(|| obs::TraceEvent::RecoveryComplete {
                     t: detected,
                     host: fi.failed[0],
@@ -94,8 +97,8 @@ impl Oracle {
                 t = detected;
                 continue;
             }
-            let out = fi.outcome;
-            ctx.emit_iteration(index, &active, t, &out);
+            let out = &fi.outcome;
+            ctx.emit_iteration(index, &active, t, out);
             window = out.end - t;
             iterations.push(IterationRecord {
                 index,
@@ -121,63 +124,6 @@ impl Oracle {
             recoveries,
             aborts: 0,
             truncated,
-        }
-    }
-}
-
-impl Strategy for Oracle {
-    fn name(&self) -> String {
-        "oracle".to_owned()
-    }
-
-    fn run(&self, ctx: &RunContext<'_>) -> RunResult {
-        if let Some(plan) = ctx.faults {
-            return self.run_faults(ctx, plan);
-        }
-        let app = ctx.app;
-        let n = app.n_active;
-        let work = equal_partition(n, app.flops_per_proc_iter);
-        // Startup like NOTHING: the oracle needs no spare pool.
-        let startup = ctx.platform.startup_time(n);
-        let mut t = startup;
-        // Look-ahead window: the unloaded iteration time on a mid-range
-        // host, refined to the previous iteration's actual length.
-        let mut window = app.unloaded_iter_time(3.0e8);
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let mut moves = 0usize;
-        let mut prev_active: Option<Vec<usize>> = None;
-
-        for index in 0..app.iterations {
-            let active = Oracle::best_hosts_over(ctx, 0..ctx.platform.hosts.len(), n, t, window);
-            if let Some(prev) = &prev_active {
-                moves += active.iter().filter(|h| !prev.contains(h)).count();
-            }
-            let out = run_iteration(ctx.platform, app, &active, &work, t);
-            ctx.emit_iteration(index, &active, t, &out);
-            window = out.end - t;
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time: 0.0,
-                active: active.clone(),
-            });
-            prev_active = Some(active);
-            t = out.end;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: moves,
-            adapt_time_total: 0.0,
-            iterations,
-            failures: 0,
-            recoveries: 0,
-            aborts: 0,
-            truncated: false,
         }
     }
 }

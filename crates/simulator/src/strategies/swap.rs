@@ -10,14 +10,15 @@
 //! spare(s). Each admitted exchange pauses the application for
 //! `α + state/β` while the process state crosses the shared link.
 
-use super::{choose_spare, RunContext, Strategy};
+use super::{choose_spare, Partition, RunContext, Strategy};
 use crate::exec::{
-    probe_host, run_iteration_faults_into, run_iteration_into, FaultedIteration, IterationOutcome,
-    IterationRecord, RunResult,
+    probe_host, run_iteration, FaultedIteration, IterationOutcome, IterationRecord, RunResult,
 };
-use crate::schedule::{equal_partition, fastest_hosts};
+use crate::schedule::fastest_hosts;
 use std::collections::HashMap;
-use swap_core::{DecisionEngine, PerfHistory, PolicyParams, ProcessorSnapshot, SwapCost};
+use swap_core::{
+    DecisionEngine, PerfHistory, PolicyParams, ProcessorSnapshot, SwapCost, SwapDecision,
+};
 
 /// MPI process swapping with a configurable policy.
 #[derive(Clone, Copy, Debug)]
@@ -76,203 +77,6 @@ impl Swap {
     pub fn policy(&self) -> &PolicyParams {
         &self.policy
     }
-
-    /// Failure-aware variant: the over-allocated spare pool doubles as a
-    /// recovery pool. A crashed active slot is reported at the next
-    /// collective (ULFM semantics); the manager treats the death as a
-    /// *mandatory* swap — the payback algebra is skipped entirely — and
-    /// restores the process on the best surviving spare from its last
-    /// registered snapshot (one `α + state/β` transfer, the same price as
-    /// a voluntary swap). Crashed hosts leave the pool for good. The
-    /// failed iteration is re-run from the recovery instant. If a dead
-    /// slot has no spare left, the run is truncated and censored at the
-    /// plan's horizon.
-    fn run_faults(&self, ctx: &RunContext<'_>, plan: &faults::FaultPlan) -> RunResult {
-        let app = ctx.app;
-        let n = app.n_active;
-        let alloc = ctx.allocated;
-
-        let mut pool = fastest_hosts(ctx.platform, alloc, 0.0);
-        let mut active: Vec<usize> = pool[..n].to_vec();
-
-        let mut engine = DecisionEngine::new(self.policy, SwapCost::from_link(ctx.platform.link));
-        if let Some(max) = self.max_swaps {
-            engine = engine.with_max_swaps(max);
-        }
-        let mut histories: HashMap<usize, PerfHistory> =
-            pool.iter().map(|&h| (h, PerfHistory::new())).collect();
-
-        let startup = ctx.platform.startup_time(alloc);
-        let mut t = startup;
-        let work = equal_partition(n, app.flops_per_proc_iter);
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let mut swaps = 0usize;
-        let mut adapt_total = 0.0;
-        let (mut failures, mut recoveries) = (0usize, 0usize);
-        let mut truncated = false;
-
-        // Scratch reused across iterations (allocation trim — the
-        // replication hot path runs thousands of these loops).
-        let mut fi = FaultedIteration::default();
-        let mut snapshots: Vec<ProcessorSnapshot> = Vec::with_capacity(pool.len());
-
-        let mut index = 0;
-        while index < app.iterations {
-            run_iteration_faults_into(ctx.platform, app, &active, &work, t, plan, &mut fi);
-            if !fi.failed.is_empty() {
-                failures += fi.failed.len();
-                let detected = fi.detected;
-                for &h in &fi.failed {
-                    ctx.emit(|| obs::TraceEvent::FailureDetected {
-                        t: detected,
-                        host: h,
-                        iter: Some(index),
-                        cause: obs::FailureCause::InjectedCrash,
-                        detail: None,
-                    });
-                }
-                // Every host known dead by the detection instant leaves
-                // the pool — crashed spares are discovered here too.
-                pool.retain(|&h| !plan.is_crashed(h, detected));
-                let mut pause = 0.0;
-                let mut stranded = false;
-                for &dead in &fi.failed {
-                    let spares = pool.iter().copied().filter(|h| !active.contains(h));
-                    let Some(best) = choose_spare(ctx, plan, spares, dead, t, detected) else {
-                        stranded = true;
-                        break;
-                    };
-                    let slot = active
-                        .iter()
-                        .position(|&h| h == dead)
-                        .expect("failed host is active");
-                    active[slot] = best;
-                    let transfer = ctx.platform.link.transfer_time(app.process_state_bytes);
-                    ctx.emit(|| obs::TraceEvent::SwapExec {
-                        t: detected + pause,
-                        iter: index,
-                        from: dead,
-                        to: best,
-                        bytes: app.process_state_bytes,
-                        transfer_secs: transfer,
-                    });
-                    pause += transfer;
-                    ctx.emit(|| obs::TraceEvent::RecoveryComplete {
-                        t: detected + pause,
-                        host: dead,
-                        replacement: Some(best),
-                        action: obs::RecoveryAction::SpareSwap,
-                        pause_secs: transfer,
-                    });
-                    swaps += 1;
-                    recoveries += 1;
-                }
-                if stranded {
-                    truncated = true;
-                    t = plan.horizon.max(detected);
-                    break;
-                }
-                adapt_total += pause;
-                t = detected + pause;
-                continue; // re-run the same iteration index
-            }
-
-            let out = &fi.outcome;
-            ctx.emit_iteration(index, &active, t, out);
-            // Spares that died quietly are discovered by their failed
-            // probes at the iteration boundary.
-            pool.retain(|&h| !plan.is_crashed(h, out.end));
-
-            for (k, &h) in active.iter().enumerate() {
-                histories
-                    .get_mut(&h)
-                    .expect("active host is in pool")
-                    .record(out.end, out.measured_rates[k]);
-            }
-            for &h in pool.iter().filter(|h| !active.contains(h)) {
-                let probed = probe_host(ctx.platform, h, t, out.compute_end);
-                histories
-                    .get_mut(&h)
-                    .expect("spare host is in pool")
-                    .record(out.end, probed);
-                ctx.emit(|| obs::TraceEvent::Probe {
-                    t: out.end,
-                    host: h,
-                    rate: probed,
-                });
-            }
-
-            let active_during = active.clone();
-            let mut adapt_time = 0.0;
-            if index + 1 < app.iterations {
-                let iter_time = out.end - t;
-                snapshots.clear();
-                snapshots.extend(pool.iter().map(|&h| {
-                    ProcessorSnapshot {
-                        id: h,
-                        active: active.contains(&h),
-                        predicted_perf: histories[&h]
-                            .predict(self.policy.predictor, self.policy.history, out.end)
-                            .expect("history has at least one sample"),
-                    }
-                }));
-                let decision = engine.decide(&snapshots, iter_time, app.process_state_bytes);
-                ctx.emit(|| obs::TraceEvent::SwapDecision {
-                    t: out.end,
-                    iter: index,
-                    old_iter_time: iter_time,
-                    swap_time: engine.cost().swap_time(app.process_state_bytes),
-                    app_improvement: decision.app_improvement,
-                    stopped_because: decision.stopped_because,
-                    admitted: decision.pairs.clone(),
-                    rejected: decision.rejected,
-                });
-                for pair in &decision.pairs {
-                    let slot = active
-                        .iter()
-                        .position(|&h| h == pair.from)
-                        .expect("engine swaps an active host");
-                    active[slot] = pair.to;
-                    let transfer = ctx.platform.link.transfer_time(app.process_state_bytes);
-                    ctx.emit(|| obs::TraceEvent::SwapExec {
-                        t: out.end + adapt_time,
-                        iter: index,
-                        from: pair.from,
-                        to: pair.to,
-                        bytes: app.process_state_bytes,
-                        transfer_secs: transfer,
-                    });
-                    adapt_time += transfer;
-                }
-                swaps += decision.pairs.len();
-            }
-
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time,
-                active: active_during,
-            });
-            adapt_total += adapt_time;
-            t = out.end + adapt_time;
-            index += 1;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: swaps,
-            adapt_time_total: adapt_total,
-            iterations,
-            failures,
-            recoveries,
-            aborts: 0,
-            truncated,
-        }
-    }
 }
 
 impl Strategy for Swap {
@@ -281,135 +85,268 @@ impl Strategy for Swap {
     }
 
     fn run(&self, ctx: &RunContext<'_>) -> RunResult {
-        if let Some(plan) = ctx.faults {
-            return self.run_faults(ctx, plan);
-        }
-        let app = ctx.app;
-        let n = app.n_active;
-        let alloc = ctx.allocated;
+        run_swapping(
+            ctx,
+            self.name(),
+            self.policy,
+            self.max_swaps,
+            Partition::Equal,
+        )
+    }
+}
 
-        // Allocate the `alloc` best processors at startup; start computing
-        // on the best N of those.
-        let pool = fastest_hosts(ctx.platform, alloc, 0.0);
-        let mut active: Vec<usize> = pool[..n].to_vec();
+/// The swap manager's per-run state, shared by SWAP, DLB+SWAP and CR's
+/// performance trigger: a performance history per allocated processor
+/// and the decision engine that reads them.
+pub(super) struct Manager {
+    policy: PolicyParams,
+    engine: DecisionEngine,
+    histories: HashMap<usize, PerfHistory>,
+    /// Every pool member's prediction at the last decision point, in
+    /// pool order (reused across iterations: the replication hot path
+    /// runs thousands of these loops).
+    pub(super) snapshots: Vec<ProcessorSnapshot>,
+}
 
-        let mut engine = DecisionEngine::new(self.policy, SwapCost::from_link(ctx.platform.link));
-        if let Some(max) = self.max_swaps {
+impl Manager {
+    pub(super) fn new(
+        ctx: &RunContext<'_>,
+        policy: PolicyParams,
+        max_swaps: Option<usize>,
+        pool: &[usize],
+    ) -> Self {
+        let mut engine = DecisionEngine::new(policy, SwapCost::from_link(ctx.platform.link));
+        if let Some(max) = max_swaps {
             engine = engine.with_max_swaps(max);
         }
-        let mut histories: HashMap<usize, PerfHistory> =
-            pool.iter().map(|&h| (h, PerfHistory::new())).collect();
+        Manager {
+            policy,
+            engine,
+            histories: pool.iter().map(|&h| (h, PerfHistory::new())).collect(),
+            snapshots: Vec::with_capacity(pool.len()),
+        }
+    }
 
-        let startup = ctx.platform.startup_time(alloc);
-        let mut t = startup;
-        let work = equal_partition(n, app.flops_per_proc_iter);
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let mut swaps = 0usize;
-        let mut adapt_total = 0.0;
-
-        // Scratch reused across iterations (allocation trim — the
-        // replication hot path runs thousands of these loops).
-        let mut scratch = IterationOutcome::default();
-        let mut snapshots: Vec<ProcessorSnapshot> = Vec::with_capacity(pool.len());
-
-        for index in 0..app.iterations {
-            run_iteration_into(ctx.platform, app, &active, &work, t, &mut scratch);
-            let out = &scratch;
-            ctx.emit_iteration(index, &active, t, out);
-
-            // Measurement: active processes report achieved compute rate;
-            // spares are probed over the same window.
-            for (k, &h) in active.iter().enumerate() {
-                histories
-                    .get_mut(&h)
-                    .expect("active host is in pool")
-                    .record(out.end, out.measured_rates[k]);
-            }
-            for &h in pool.iter().filter(|h| !active.contains(h)) {
-                let probed = probe_host(ctx.platform, h, t, out.compute_end);
-                histories
-                    .get_mut(&h)
-                    .expect("spare host is in pool")
-                    .record(out.end, probed);
-                ctx.emit(|| obs::TraceEvent::Probe {
-                    t: out.end,
-                    host: h,
-                    rate: probed,
-                });
-            }
-
-            let active_during = active.clone();
-
-            // Decision point. The last iteration performs no swap — there
-            // is nothing left to amortize against.
-            let mut adapt_time = 0.0;
-            if index + 1 < app.iterations {
-                let iter_time = out.end - t;
-                snapshots.clear();
-                snapshots.extend(pool.iter().map(|&h| {
-                    ProcessorSnapshot {
-                        id: h,
-                        active: active.contains(&h),
-                        predicted_perf: histories[&h]
-                            .predict(self.policy.predictor, self.policy.history, out.end)
-                            .expect("history has at least one sample"),
-                    }
-                }));
-                let decision = engine.decide(&snapshots, iter_time, app.process_state_bytes);
-                ctx.emit(|| obs::TraceEvent::SwapDecision {
-                    t: out.end,
-                    iter: index,
-                    old_iter_time: iter_time,
-                    swap_time: engine.cost().swap_time(app.process_state_bytes),
-                    app_improvement: decision.app_improvement,
-                    stopped_because: decision.stopped_because,
-                    admitted: decision.pairs.clone(),
-                    rejected: decision.rejected,
-                });
-                for pair in &decision.pairs {
-                    let slot = active
-                        .iter()
-                        .position(|&h| h == pair.from)
-                        .expect("engine swaps an active host");
-                    active[slot] = pair.to;
-                    let transfer = ctx.platform.link.transfer_time(app.process_state_bytes);
-                    ctx.emit(|| obs::TraceEvent::SwapExec {
-                        t: out.end + adapt_time,
-                        iter: index,
-                        from: pair.from,
-                        to: pair.to,
-                        bytes: app.process_state_bytes,
-                        transfer_secs: transfer,
-                    });
-                    adapt_time += transfer;
-                }
-                swaps += decision.pairs.len();
-            }
-
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time,
-                active: active_during,
+    /// Measurement at the end of an iteration that started at `t`:
+    /// active processes report their achieved compute rate; swap
+    /// handlers probe the spares over the same window.
+    pub(super) fn measure(
+        &mut self,
+        ctx: &RunContext<'_>,
+        pool: &[usize],
+        active: &[usize],
+        t: f64,
+        out: &IterationOutcome,
+    ) {
+        for (k, &h) in active.iter().enumerate() {
+            self.histories
+                .get_mut(&h)
+                .expect("active host is in pool")
+                .record(out.end, out.measured_rates[k]);
+        }
+        for &h in pool.iter().filter(|h| !active.contains(h)) {
+            let probed = probe_host(ctx.platform, h, t, out.compute_end);
+            self.histories
+                .get_mut(&h)
+                .expect("spare host is in pool")
+                .record(out.end, probed);
+            ctx.emit(|| obs::TraceEvent::Probe {
+                t: out.end,
+                host: h,
+                rate: probed,
             });
-            adapt_total += adapt_time;
-            t = out.end + adapt_time;
+        }
+    }
+
+    /// Decision point at `now`, after iteration `index` took
+    /// `iter_time`: predicts every pool member into
+    /// [`Manager::snapshots`], asks the engine which exchanges pay back,
+    /// and emits the `SwapDecision` audit event.
+    pub(super) fn decide(
+        &mut self,
+        ctx: &RunContext<'_>,
+        pool: &[usize],
+        active: &[usize],
+        index: usize,
+        iter_time: f64,
+        now: f64,
+    ) -> SwapDecision {
+        self.snapshots.clear();
+        self.snapshots.extend(pool.iter().map(|&h| {
+            ProcessorSnapshot {
+                id: h,
+                active: active.contains(&h),
+                predicted_perf: self.histories[&h]
+                    .predict(self.policy.predictor, self.policy.history, now)
+                    .expect("history has at least one sample"),
+            }
+        }));
+        let state = ctx.app.process_state_bytes;
+        let decision = self.engine.decide(&self.snapshots, iter_time, state);
+        ctx.emit(|| obs::TraceEvent::SwapDecision {
+            t: now,
+            iter: index,
+            old_iter_time: iter_time,
+            swap_time: self.engine.cost().swap_time(state),
+            app_improvement: decision.app_improvement,
+            stopped_because: decision.stopped_because,
+            admitted: decision.pairs.clone(),
+            rejected: decision.rejected,
+        });
+        decision
+    }
+}
+
+/// The swap-manager loop SWAP and DLB+SWAP share. At startup the
+/// `allocated` best processors are acquired and the best `N` compute;
+/// after every iteration but the last (nothing is left to amortize
+/// against) the manager measures, predicts and exchanges the slowest
+/// active processor(s) for the fastest spare(s) the policy admits, each
+/// exchange pausing the application for `α + state/β`.
+///
+/// The over-allocated spare pool doubles as a recovery pool. A crashed
+/// active slot is reported at the next collective (ULFM semantics); the
+/// manager treats the death as a *mandatory* swap — the payback algebra
+/// is skipped entirely — and restores the process on the best surviving
+/// spare from its last registered snapshot (one `α + state/β` transfer,
+/// the same price as a voluntary swap). Crashed hosts leave the pool for
+/// good. The failed iteration is re-run from the recovery instant. If a
+/// dead slot has no spare left, the run is truncated and censored at the
+/// plan's horizon.
+pub(super) fn run_swapping(
+    ctx: &RunContext<'_>,
+    strategy: String,
+    policy: PolicyParams,
+    max_swaps: Option<usize>,
+    partition: Partition,
+) -> RunResult {
+    let app = ctx.app;
+    let plan = ctx.faults;
+    let n = app.n_active;
+    let alloc = ctx.allocated;
+
+    let mut pool = fastest_hosts(ctx.platform, alloc, 0.0);
+    let mut active: Vec<usize> = pool[..n].to_vec();
+    let mut manager = Manager::new(ctx, policy, max_swaps, &pool);
+
+    let startup = ctx.platform.startup_time(alloc);
+    let mut t = startup;
+    let mut work = Vec::new();
+    let mut iterations = Vec::with_capacity(app.iterations);
+    let mut swaps = 0usize;
+    let mut adapt_total = 0.0;
+    let (mut failures, mut recoveries) = (0usize, 0usize);
+    let mut truncated = false;
+    let transfer = ctx.platform.link.transfer_time(app.process_state_bytes);
+    let mut fi = FaultedIteration::default();
+
+    let mut index = 0;
+    while index < app.iterations {
+        partition.assign(ctx, &active, t, &mut work);
+        run_iteration(ctx.platform, app, &active, &work, t, plan, &mut fi);
+        if !fi.failed.is_empty() {
+            failures += fi.failed.len();
+            let detected = fi.detected;
+            ctx.emit_failures(&fi.failed, detected, index);
+            // Every host known dead by the detection instant leaves
+            // the pool — crashed spares are discovered here too.
+            pool.retain(|&h| !plan.is_crashed(h, detected));
+            let mut pause = 0.0;
+            let mut stranded = false;
+            for &dead in &fi.failed {
+                let spares = pool.iter().copied().filter(|h| !active.contains(h));
+                let Some(best) = choose_spare(ctx, spares, dead, t, detected) else {
+                    stranded = true;
+                    break;
+                };
+                let slot = active
+                    .iter()
+                    .position(|&h| h == dead)
+                    .expect("failed host is active");
+                active[slot] = best;
+                ctx.emit(|| obs::TraceEvent::SwapExec {
+                    t: detected + pause,
+                    iter: index,
+                    from: dead,
+                    to: best,
+                    bytes: app.process_state_bytes,
+                    transfer_secs: transfer,
+                });
+                pause += transfer;
+                ctx.emit(|| obs::TraceEvent::RecoveryComplete {
+                    t: detected + pause,
+                    host: dead,
+                    replacement: Some(best),
+                    action: obs::RecoveryAction::SpareSwap,
+                    pause_secs: transfer,
+                });
+                swaps += 1;
+                recoveries += 1;
+            }
+            if stranded {
+                truncated = true;
+                t = plan.horizon.max(detected);
+                break;
+            }
+            adapt_total += pause;
+            t = detected + pause;
+            continue; // re-run the same iteration index
         }
 
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: swaps,
-            adapt_time_total: adapt_total,
-            iterations,
-            failures: 0,
-            recoveries: 0,
-            aborts: 0,
-            truncated: false,
+        let out = &fi.outcome;
+        ctx.emit_iteration(index, &active, t, out);
+        // Spares that died quietly are discovered by their failed
+        // probes at the iteration boundary.
+        pool.retain(|&h| !plan.is_crashed(h, out.end));
+        manager.measure(ctx, &pool, &active, t, out);
+
+        let active_during = active.clone();
+        let mut adapt_time = 0.0;
+        if index + 1 < app.iterations {
+            let decision = manager.decide(ctx, &pool, &active, index, out.end - t, out.end);
+            for pair in &decision.pairs {
+                let slot = active
+                    .iter()
+                    .position(|&h| h == pair.from)
+                    .expect("engine swaps an active host");
+                active[slot] = pair.to;
+                ctx.emit(|| obs::TraceEvent::SwapExec {
+                    t: out.end + adapt_time,
+                    iter: index,
+                    from: pair.from,
+                    to: pair.to,
+                    bytes: app.process_state_bytes,
+                    transfer_secs: transfer,
+                });
+                adapt_time += transfer;
+            }
+            swaps += decision.pairs.len();
         }
+
+        iterations.push(IterationRecord {
+            index,
+            start: t,
+            compute_end: out.compute_end,
+            end: out.end,
+            adapt_time,
+            active: active_during,
+        });
+        adapt_total += adapt_time;
+        t = out.end + adapt_time;
+        index += 1;
+    }
+
+    RunResult {
+        strategy,
+        execution_time: t,
+        startup_time: startup,
+        adaptations: swaps,
+        adapt_time_total: adapt_total,
+        iterations,
+        failures,
+        recoveries,
+        aborts: 0,
+        truncated,
     }
 }
 
