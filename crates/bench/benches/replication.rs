@@ -12,9 +12,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use loadmodel::OnOffSource;
 use simulator::platform::{LoadSpec, PlatformSpec};
-use simulator::runner::{
-    enter_cell, run_replicated_jobs, run_replicated_policies, RealizationCache,
-};
+use simulator::runner::{enter_cell, RealizationCache, Replication};
 use simulator::strategies::Swap;
 use simulator::AppSpec;
 use std::sync::Arc;
@@ -47,14 +45,7 @@ fn bench_seed_fanout(c: &mut Criterion) {
 
     group.bench_function("seed_fanout/serial", |b| {
         b.iter(|| {
-            std::hint::black_box(run_replicated_jobs(
-                &spec,
-                &app,
-                &Swap::greedy(),
-                16,
-                &seeds,
-                1,
-            ))
+            std::hint::black_box(Replication::new(&spec, &app, &Swap::greedy(), 16, &seeds).run())
         })
     });
 
@@ -63,14 +54,7 @@ fn bench_seed_fanout(c: &mut Criterion) {
         let _install = simkit::pool::install(&pool, 0);
         let _cell = enter_cell(4, None);
         b.iter(|| {
-            std::hint::black_box(run_replicated_jobs(
-                &spec,
-                &app,
-                &Swap::greedy(),
-                16,
-                &seeds,
-                1,
-            ))
+            std::hint::black_box(Replication::new(&spec, &app, &Swap::greedy(), 16, &seeds).run())
         })
     });
 
@@ -97,7 +81,10 @@ fn tournament_cell(spec: &PlatformSpec, app: &AppSpec, seeds: &[u64]) -> f64 {
             }
         };
         let ps = policy::PolicyConfig::for_placement(placement).build(fs.shock_window_secs);
-        acc += run_replicated_policies(spec, app, &Swap::safe(), 16, seeds, 1, &fs, &ps)
+        acc += Replication::new(spec, app, &Swap::safe(), 16, seeds)
+            .with_faults(&fs)
+            .with_policies(&ps)
+            .run()
             .execution_time
             .mean;
     }

@@ -5,10 +5,10 @@
 //! the regime where policy quality matters most.
 
 use crate::config::Scale;
-use crate::figures::{onoff_duty, platform};
+use crate::figures::{mean_exec_time, onoff_duty, platform};
 use crate::output::{FigureData, Series};
 use crate::sweep::{grid_sweep, item_sweep};
-use simulator::runner::run_replicated;
+use simulator::runner::Replication;
 use simulator::strategies::{Nothing, Swap};
 use simulator::AppSpec;
 use swap_core::{HistoryWindow, PolicyParams, Predictor};
@@ -32,7 +32,8 @@ fn mean_time(
     policy: PolicyParams,
     scale: &Scale,
 ) -> f64 {
-    run_replicated(spec, app, &Swap::new(policy), 32, &scale.seed_list())
+    Replication::new(spec, app, &Swap::new(policy), 32, &scale.seed_list())
+        .run()
         .execution_time
         .mean
 }
@@ -96,7 +97,8 @@ pub fn ablation_payback(scale: &Scale) -> FigureData {
         .zip(ys)
         .map(|(&t, y)| (plot_x(t), y))
         .collect();
-    let nothing = run_replicated(&spec, &app, &Nothing, 4, &scale.seed_list())
+    let nothing = Replication::new(&spec, &app, &Nothing, 4, &scale.seed_list())
+        .run()
         .execution_time
         .mean;
     FigureData {
@@ -129,7 +131,8 @@ pub fn ablation_multiswap(scale: &Scale) -> FigureData {
                 None => Swap::greedy(),
                 Some(k) => Swap::greedy().with_max_swaps(*k),
             };
-            run_replicated(&spec, &app, &strategy, 32, &scale.seed_list())
+            Replication::new(&spec, &app, &strategy, 32, &scale.seed_list())
+                .run()
                 .execution_time
                 .mean
         },
@@ -174,14 +177,11 @@ pub fn ablation_dynamism(scale: &Scale) -> FigureData {
         &xs,
         |(label, _, _)| label.clone(),
         |(_, load_for, swaps), x| {
-            let spec = platform(load_for(x));
             if *swaps {
-                run_replicated(&spec, &app, &Swap::greedy(), 32, &scale.seed_list())
+                mean_exec_time(load_for(x), &app, &Swap::greedy(), 32, scale)
             } else {
-                run_replicated(&spec, &app, &Nothing, 4, &scale.seed_list())
+                mean_exec_time(load_for(x), &app, &Nothing, 4, scale)
             }
-            .execution_time
-            .mean
         },
     );
     FigureData {
@@ -211,12 +211,7 @@ pub fn ablation_oracle(scale: &Scale) -> FigureData {
         &strategies,
         &xs,
         |(name, _, _)| (*name).to_owned(),
-        |(_, s, alloc), d| {
-            let spec = platform(onoff_duty(d));
-            run_replicated(&spec, &app, s.as_ref(), *alloc, &scale.seed_list())
-                .execution_time
-                .mean
-        },
+        |(_, s, alloc), d| mean_exec_time(onoff_duty(d), &app, s.as_ref(), *alloc, scale),
     );
     FigureData {
         id: "ablation_oracle".into(),

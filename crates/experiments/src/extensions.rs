@@ -11,13 +11,13 @@
 //!   hybrid against its two parents.
 
 use crate::config::Scale;
-use crate::figures::{onoff_duty, platform, ONOFF_Q};
+use crate::figures::{mean_exec_time, onoff_duty, platform, ONOFF_Q};
 use crate::output::FigureData;
 use crate::sweep::grid_sweep;
 use faults::FaultSpec;
 use loadmodel::OnOffSource;
 use simulator::platform::LoadSpec;
-use simulator::runner::{run_replicated, run_replicated_faults, run_replicated_policies};
+use simulator::runner::Replication;
 use simulator::strategies::{Cr, Dlb, DlbSwap, Nothing, Strategy, Swap};
 use simulator::AppSpec;
 
@@ -50,12 +50,7 @@ pub fn ext_reclamation(scale: &Scale) -> FigureData {
         &strategies,
         &xs,
         |(name, _, _)| (*name).to_owned(),
-        |(_, s, alloc), d| {
-            let spec = platform(load_for(d));
-            run_replicated(&spec, &app, s.as_ref(), *alloc, &scale.seed_list())
-                .execution_time
-                .mean
-        },
+        |(_, s, alloc), d| mean_exec_time(load_for(d), &app, s.as_ref(), *alloc, scale),
     );
     FigureData {
         id: "ext_reclamation".into(),
@@ -84,12 +79,7 @@ pub fn ext_dlb_swap(scale: &Scale) -> FigureData {
         &strategies,
         &xs,
         |(name, _, _)| (*name).to_owned(),
-        |(_, s, alloc), d| {
-            let spec = platform(onoff_duty(d));
-            run_replicated(&spec, &app, s.as_ref(), *alloc, &scale.seed_list())
-                .execution_time
-                .mean
-        },
+        |(_, s, alloc), d| mean_exec_time(onoff_duty(d), &app, s.as_ref(), *alloc, scale),
     );
     FigureData {
         id: "ext_dlb_swap".into(),
@@ -130,12 +120,7 @@ pub fn ext_pareto(scale: &Scale) -> FigureData {
         &strategies,
         &xs,
         |(name, _, _)| (*name).to_owned(),
-        |(_, s, alloc), l| {
-            let spec = platform(load_for(l));
-            run_replicated(&spec, &app, s.as_ref(), *alloc, &scale.seed_list())
-                .execution_time
-                .mean
-        },
+        |(_, s, alloc), l| mean_exec_time(load_for(l), &app, s.as_ref(), *alloc, scale),
     );
     FigureData {
         id: "ext_pareto".into(),
@@ -175,12 +160,7 @@ pub fn ext_traces(scale: &Scale) -> FigureData {
         &strategies,
         &xs,
         |(name, _, _)| (*name).to_owned(),
-        |(_, s, alloc), peak| {
-            let spec = platform(load_for(peak));
-            run_replicated(&spec, &app, s.as_ref(), *alloc, &scale.seed_list())
-                .execution_time
-                .mean
-        },
+        |(_, s, alloc), peak| mean_exec_time(load_for(peak), &app, s.as_ref(), *alloc, scale),
     );
     FigureData {
         id: "ext_traces".into(),
@@ -224,14 +204,8 @@ pub fn ext_granularity(scale: &Scale) -> FigureData {
             // Keep total simulated work roughly constant across the
             // sweep so runs stay comparable in length.
             app.iterations = ((scale.iterations as f64 * 60.0 / iter_time).round() as usize).max(6);
-            let spec = platform(load_for(iter_time));
-            let seeds = scale.seed_list();
-            let nothing = run_replicated(&spec, &app, &Nothing, 4, &seeds)
-                .execution_time
-                .mean;
-            let swap = run_replicated(&spec, &app, s.as_ref(), 32, &seeds)
-                .execution_time
-                .mean;
+            let nothing = mean_exec_time(load_for(iter_time), &app, &Nothing, 4, scale);
+            let swap = mean_exec_time(load_for(iter_time), &app, s.as_ref(), 32, scale);
             100.0 * (1.0 - swap / nothing)
         },
     );
@@ -283,13 +257,14 @@ pub fn ext_faults(scale: &Scale) -> FigureData {
             let spec = platform(onoff_duty(0.5));
             let fs = FaultSpec::crashes_only(mtbf, fault_seed);
             let seeds = scale.seed_list();
-            match scale.placement {
-                Some(p) => {
-                    let ps = policy::PolicyConfig::for_placement(p).build(0.0);
-                    run_replicated_policies(&spec, &app, s.as_ref(), *alloc, &seeds, 1, &fs, &ps)
-                }
-                None => run_replicated_faults(&spec, &app, s.as_ref(), *alloc, &seeds, 1, &fs),
+            let ps = scale
+                .placement
+                .map(|p| policy::PolicyConfig::for_placement(p).build(0.0));
+            Replication {
+                policies: ps.as_ref(),
+                ..Replication::new(&spec, &app, s.as_ref(), *alloc, &seeds).with_faults(&fs)
             }
+            .run()
             .execution_time
             .mean
         },
@@ -399,18 +374,12 @@ pub fn ext_policies(scale: &Scale) -> FigureData {
             let fs = fault_for(mtbf);
             let spec = tournament_platform();
             let ps = policy::PolicyConfig::for_placement(*placement).build(fs.shock_window_secs);
-            run_replicated_policies(
-                &spec,
-                &app,
-                &Swap::safe(),
-                32,
-                &scale.seed_list(),
-                1,
-                &fs,
-                &ps,
-            )
-            .execution_time
-            .mean
+            Replication::new(&spec, &app, &Swap::safe(), 32, &scale.seed_list())
+                .with_faults(&fs)
+                .with_policies(&ps)
+                .run()
+                .execution_time
+                .mean
         },
     );
     FigureData {

@@ -13,7 +13,7 @@ use crate::sweep::grid_sweep;
 use loadmodel::{DegenerateHyperExp, HyperExpWorkload, LoadTrace, OnOffSource};
 use simkit::rng::rng;
 use simulator::platform::{LoadSpec, PlatformSpec};
-use simulator::runner::run_replicated;
+use simulator::runner::Replication;
 use simulator::strategies::{Cr, Dlb, Nothing, Strategy, Swap};
 use simulator::AppSpec;
 use swap_core::payback::payback_distance;
@@ -38,8 +38,9 @@ pub fn platform(load: LoadSpec) -> PlatformSpec {
     spec
 }
 
-/// Mean execution time of `strategy` over the scale's seeds.
-fn mean_exec_time(
+/// Mean execution time of `strategy` over the scale's seeds, on the
+/// paper's platform under `load`.
+pub(crate) fn mean_exec_time(
     load: LoadSpec,
     app: &AppSpec,
     strategy: &dyn Strategy,
@@ -47,7 +48,8 @@ fn mean_exec_time(
     scale: &Scale,
 ) -> f64 {
     let spec = platform(load);
-    run_replicated(&spec, app, strategy, alloc, &scale.seed_list())
+    Replication::new(&spec, app, strategy, alloc, &scale.seed_list())
+        .run()
         .execution_time
         .mean
 }

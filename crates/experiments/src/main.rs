@@ -607,19 +607,23 @@ fn emit_figure(
 
 fn run_policy_eval(policy: swap_core::PolicyParams, duty: f64, state: f64, scale: &Scale) {
     use experiments::figures::{onoff_duty, platform};
-    use simulator::runner::run_replicated_jobs;
-    use simulator::strategies::{Nothing, Swap};
+    use simulator::runner::Replication;
+    use simulator::strategies::{Nothing, Strategy, Swap};
 
     let mut app = simulator::AppSpec::hpdc03(4, state);
     app.iterations = scale.iterations;
     let spec = platform(onoff_duty(duty.clamp(0.0, 0.99)));
     let seeds = scale.seed_list();
-    let jobs = scale.jobs;
+    let run = |strategy: &dyn Strategy, allocated| {
+        Replication::new(&spec, &app, strategy, allocated, &seeds)
+            .with_jobs(scale.jobs)
+            .run()
+    };
 
     println!("custom policy: {policy:#?}\n");
-    let nothing = run_replicated_jobs(&spec, &app, &Nothing, 4, &seeds, jobs);
-    let custom = run_replicated_jobs(&spec, &app, &Swap::new(policy), 32, &seeds, jobs);
-    let greedy = run_replicated_jobs(&spec, &app, &Swap::greedy(), 32, &seeds, jobs);
+    let nothing = run(&Nothing, 4);
+    let custom = run(&Swap::new(policy), 32);
+    let greedy = run(&Swap::greedy(), 32);
     let base = nothing.execution_time.mean;
     for r in [&nothing, &custom, &greedy] {
         println!(
@@ -647,7 +651,7 @@ fn run_placement_tournament(
     trace_path: Option<&Path>,
 ) {
     use experiments::figures::{onoff_duty, platform};
-    use simulator::runner::{run_replicated_policies, run_replicated_policies_traced};
+    use simulator::runner::Replication;
     use simulator::strategies::Swap;
 
     let mut app = simulator::AppSpec::hpdc03(4, state);
@@ -681,16 +685,18 @@ fn run_placement_tournament(
     for choice in choices {
         let ps = policy::PolicyConfig::for_placement(choice).build(fs.shock_window_secs);
         let strategy = Swap::greedy();
+        let request = Replication::new(&spec, &app, &strategy, 32, &seeds)
+            .with_jobs(scale.jobs)
+            .with_faults(&fs)
+            .with_policies(&ps);
         let r = if trace_path.is_some() {
-            let (r, traces) = run_replicated_policies_traced(
-                &spec, &app, &strategy, 32, &seeds, scale.jobs, &fs, &ps,
-            );
+            let (r, traces) = request.run_traced();
             for (seed, trace) in seeds.iter().zip(traces) {
                 bundle.push(choice.name(), *seed, trace);
             }
             r
         } else {
-            run_replicated_policies(&spec, &app, &strategy, 32, &seeds, scale.jobs, &fs, &ps)
+            request.run()
         };
         let sum = |f: fn(&simulator::RunResult) -> usize| -> usize { r.runs.iter().map(f).sum() };
         println!(
@@ -717,7 +723,7 @@ fn run_placement_tournament(
 
 fn run_compare(duty: f64, state: f64, n_active: usize, alloc: usize, scale: &Scale) {
     use experiments::figures::{onoff_duty, platform};
-    use simulator::runner::run_replicated_jobs;
+    use simulator::runner::Replication;
     use simulator::strategies::{Cr, Dlb, DlbSwap, Nothing, Strategy, Swap};
 
     let mut app = simulator::AppSpec::hpdc03(n_active, state);
@@ -745,7 +751,9 @@ fn run_compare(duty: f64, state: f64, n_active: usize, alloc: usize, scale: &Sca
     ];
     let mut baseline = None;
     for (s, a) in &strategies {
-        let r = run_replicated_jobs(&spec, &app, s.as_ref(), *a, &seeds, scale.jobs);
+        let r = Replication::new(&spec, &app, s.as_ref(), *a, &seeds)
+            .with_jobs(scale.jobs)
+            .run();
         let e = r.execution_time;
         let base = *baseline.get_or_insert(e.mean);
         println!(
@@ -770,7 +778,7 @@ fn run_faults_compare(
     trace_path: Option<&Path>,
 ) {
     use experiments::figures::{onoff_duty, platform};
-    use simulator::runner::{run_replicated_faults, run_replicated_faults_traced};
+    use simulator::runner::Replication;
     use simulator::strategies::{Cr, Dlb, Nothing, Strategy, Swap};
 
     let mut app = simulator::AppSpec::hpdc03(4, state);
@@ -799,22 +807,17 @@ fn run_faults_compare(
     ];
     let mut bundle = obs::TraceBundle::new();
     for (s, alloc) in &strategies {
+        let request = Replication::new(&spec, &app, s.as_ref(), *alloc, &seeds)
+            .with_jobs(scale.jobs)
+            .with_faults(&fs);
         let r = if trace_path.is_some() {
-            let (r, traces) = run_replicated_faults_traced(
-                &spec,
-                &app,
-                s.as_ref(),
-                *alloc,
-                &seeds,
-                scale.jobs,
-                &fs,
-            );
+            let (r, traces) = request.run_traced();
             for (seed, trace) in seeds.iter().zip(traces) {
                 bundle.push(format!("{}/{alloc}", r.strategy), *seed, trace);
             }
             r
         } else {
-            run_replicated_faults(&spec, &app, s.as_ref(), *alloc, &seeds, scale.jobs, &fs)
+            request.run()
         };
         let sum = |f: fn(&simulator::RunResult) -> usize| -> usize { r.runs.iter().map(f).sum() };
         println!(

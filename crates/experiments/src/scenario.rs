@@ -1,19 +1,15 @@
 //! Scenario files: a complete experiment as one JSON document.
 //!
 //! A [`Scenario`] bundles the platform spec, the application spec, the
-//! replication seeds, and a list of strategies — everything
-//! `run_replicated` needs — so downstream users can describe their own
-//! study without writing Rust. `swapsim run scenario.json` executes it;
-//! `swapsim scenario --template` prints a starting point.
+//! replication seeds, and a list of strategies — everything a
+//! [`Replication`] per strategy needs — so downstream users can describe
+//! their own study without writing Rust. `swapsim run scenario.json`
+//! executes it; `swapsim scenario --template` prints a starting point.
 
 use faults::FaultSpec;
 use serde::{Deserialize, Serialize};
 use simulator::platform::PlatformSpec;
-use simulator::runner::{
-    run_replicated_faults, run_replicated_faults_traced, run_replicated_jobs,
-    run_replicated_policies, run_replicated_policies_traced, run_replicated_traced,
-    ReplicatedResult,
-};
+use simulator::runner::{ReplicatedResult, Replication};
 use simulator::strategies::{Cr, Dlb, DlbSwap, Nothing, Oracle, Strategy, Swap};
 use simulator::AppSpec;
 use swap_core::PolicyParams;
@@ -95,15 +91,17 @@ pub struct Scenario {
     pub strategies: Vec<StrategyRef>,
     /// Optional fault-injection scenario. Absent (or disabled) means the
     /// classic fault-free simulation; present and enabled means every
-    /// strategy runs its failure-aware variant against per-seed fault
-    /// plans derived deterministically from the replication seeds.
+    /// strategy runs under per-seed fault plans derived deterministically
+    /// from the replication seeds, recovering from the crashes they
+    /// inject.
     #[serde(default)]
     pub faults: Option<FaultSpec>,
-    /// Optional decision-policy bundle for the failure-aware paths
-    /// (spare placement + checkpoint cadence). Only consulted when fault
-    /// injection is enabled; absent means the legacy inline choices,
-    /// bit-for-bit. The rack-aware lookback defaults to the fault spec's
-    /// `shock_window_secs` when the config leaves it at zero.
+    /// Optional decision-policy bundle for the decisions a fault plan
+    /// forces (spare placement at crash recovery, CR's checkpoint
+    /// cadence). Only consulted when fault injection is enabled; absent
+    /// means the legacy inline choices, bit-for-bit. The rack-aware
+    /// lookback defaults to the fault spec's `shock_window_secs` when the
+    /// config leaves it at zero.
     #[serde(default)]
     pub policies: Option<policy::PolicyConfig>,
 }
@@ -160,11 +158,24 @@ impl Scenario {
             self.app.n_active,
             self.platform.n_hosts
         );
+        // Out-of-range values would be clamped silently at run time.
+        assert!(
+            self.allocated >= self.app.n_active,
+            "allocated = {} is below app.n_active = {}",
+            self.allocated,
+            self.app.n_active
+        );
+        assert!(
+            self.allocated <= self.platform.n_hosts,
+            "allocated = {} exceeds platform.n_hosts = {}",
+            self.allocated,
+            self.platform.n_hosts
+        );
     }
 
     /// The materialized policy bundle, when both fault injection and a
-    /// policy config are present (policies are decision points of the
-    /// failure-aware paths, so they need faults to act on).
+    /// policy config are present (policies decide crash recovery and the
+    /// fault plan's checkpoint cadence, so they need faults to act on).
     fn policy_set(&self) -> Option<policy::PolicySet> {
         let f = self.faults.as_ref().filter(|f| f.is_enabled())?;
         Some(self.policies.as_ref()?.build(f.shock_window_secs))
@@ -172,6 +183,27 @@ impl Scenario {
 
     /// Runs every strategy, in order.
     pub fn run(&self) -> Vec<ReplicatedResult> {
+        self.each_replication(|request| request.run())
+    }
+
+    /// Runs every strategy with tracing on, returning the results plus
+    /// one [`obs::RunTrace`] per `(strategy, seed)`, labelled by strategy
+    /// name, in deterministic (strategy-major, seed-minor) order.
+    pub fn run_traced(&self) -> (Vec<ReplicatedResult>, obs::TraceBundle) {
+        let mut bundle = obs::TraceBundle::default();
+        let results = self.each_replication(|request| {
+            let (result, traces) = request.run_traced();
+            for (seed, trace) in request.seeds.iter().zip(traces) {
+                bundle.push(&result.strategy, *seed, trace);
+            }
+            result
+        });
+        (results, bundle)
+    }
+
+    /// Validates the scenario, then hands `run` one [`Replication`] per
+    /// strategy, in order.
+    fn each_replication<R>(&self, mut run: impl FnMut(Replication<'_>) -> R) -> Vec<R> {
         self.validate();
         let seeds: Vec<u64> = (0..self.replications as u64).collect();
         let policies = self.policy_set();
@@ -179,89 +211,14 @@ impl Scenario {
             .iter()
             .map(|sref| {
                 let (strategy, alloc) = sref.build(self.app.n_active, self.allocated);
-                match (self.faults.as_ref().filter(|f| f.is_enabled()), &policies) {
-                    (Some(f), Some(ps)) => run_replicated_policies(
-                        &self.platform,
-                        &self.app,
-                        strategy.as_ref(),
-                        alloc,
-                        &seeds,
-                        self.jobs,
-                        f,
-                        ps,
-                    ),
-                    (Some(f), None) => run_replicated_faults(
-                        &self.platform,
-                        &self.app,
-                        strategy.as_ref(),
-                        alloc,
-                        &seeds,
-                        self.jobs,
-                        f,
-                    ),
-                    (None, _) => run_replicated_jobs(
-                        &self.platform,
-                        &self.app,
-                        strategy.as_ref(),
-                        alloc,
-                        &seeds,
-                        self.jobs,
-                    ),
-                }
+                run(Replication {
+                    jobs: self.jobs,
+                    faults: self.faults.as_ref(),
+                    policies: policies.as_ref(),
+                    ..Replication::new(&self.platform, &self.app, strategy.as_ref(), alloc, &seeds)
+                })
             })
             .collect()
-    }
-
-    /// Runs every strategy with tracing on, returning the results plus
-    /// one [`obs::RunTrace`] per `(strategy, seed)`, labelled by strategy
-    /// name, in deterministic (strategy-major, seed-minor) order.
-    pub fn run_traced(&self) -> (Vec<ReplicatedResult>, obs::TraceBundle) {
-        self.validate();
-        let seeds: Vec<u64> = (0..self.replications as u64).collect();
-        let policies = self.policy_set();
-        let mut bundle = obs::TraceBundle::default();
-        let results = self
-            .strategies
-            .iter()
-            .map(|sref| {
-                let (strategy, alloc) = sref.build(self.app.n_active, self.allocated);
-                let (result, traces) =
-                    match (self.faults.as_ref().filter(|f| f.is_enabled()), &policies) {
-                        (Some(f), Some(ps)) => run_replicated_policies_traced(
-                            &self.platform,
-                            &self.app,
-                            strategy.as_ref(),
-                            alloc,
-                            &seeds,
-                            self.jobs,
-                            f,
-                            ps,
-                        ),
-                        (Some(f), None) => run_replicated_faults_traced(
-                            &self.platform,
-                            &self.app,
-                            strategy.as_ref(),
-                            alloc,
-                            &seeds,
-                            self.jobs,
-                            f,
-                        ),
-                        (None, _) => run_replicated_traced(
-                            &self.platform,
-                            &self.app,
-                            strategy.as_ref(),
-                            alloc,
-                            &seeds,
-                            self.jobs,
-                        ),
-                    };
-                for (seed, trace) in seeds.iter().zip(traces) {
-                    bundle.push(&result.strategy, *seed, trace);
-                }
-                result
-            })
-            .collect();
-        (results, bundle)
     }
 }
 
@@ -341,41 +298,58 @@ mod tests {
     fn run_traced_matches_plain_run_and_labels_every_seed() {
         let mut s = Scenario::template();
         s.replications = 2;
-        s.app.iterations = 6;
+        s.app.iterations = 8;
+        s.platform.horizon = 20_000.0;
         s.strategies = vec![
             StrategyRef::Nothing,
             StrategyRef::Swap {
                 policy: PolicyParams::greedy(),
             },
         ];
-        let plain = s.run();
-        let (traced, bundle) = s.run_traced();
-        assert_eq!(traced.len(), plain.len());
-        for (t, p) in traced.iter().zip(&plain) {
-            assert_eq!(t.strategy, p.strategy);
+        let faulted = Scenario {
+            faults: Some(FaultSpec::crashes_only(3_000.0, 5)),
+            ..s.clone()
+        };
+        let policied = Scenario {
+            policies: Some(policy::PolicyConfig::for_placement(
+                policy::PlacementChoice::MtbfAware,
+            )),
+            ..faulted.clone()
+        };
+        for s in [s, faulted, policied] {
+            let plain = s.run();
+            let (traced, bundle) = s.run_traced();
+            assert_eq!(traced.len(), plain.len());
+            for (t, p) in traced.iter().zip(&plain) {
+                assert_eq!(t.strategy, p.strategy);
+                assert_eq!(
+                    t.runs, p.runs,
+                    "tracing must not perturb results ({})",
+                    t.strategy
+                );
+            }
+            if s.faults.is_some() {
+                let failures: usize = plain.iter().flat_map(|r| &r.runs).map(|r| r.failures).sum();
+                assert!(failures > 0, "no crash landed in the faulted scenario");
+            }
+            // One run trace per (strategy, seed), strategy-major order.
+            assert_eq!(bundle.runs.len(), 4);
+            let keys: Vec<(String, u64)> = bundle
+                .runs
+                .iter()
+                .map(|r| (r.label.clone(), r.seed))
+                .collect();
             assert_eq!(
-                t.execution_time.mean, p.execution_time.mean,
-                "tracing must not perturb results ({})",
-                t.strategy
+                keys,
+                vec![
+                    ("nothing".into(), 0),
+                    ("nothing".into(), 1),
+                    ("swap(greedy)".into(), 0),
+                    ("swap(greedy)".into(), 1),
+                ]
             );
+            assert!(bundle.event_count() > 0);
         }
-        // One run trace per (strategy, seed), strategy-major order.
-        assert_eq!(bundle.runs.len(), 4);
-        let keys: Vec<(String, u64)> = bundle
-            .runs
-            .iter()
-            .map(|r| (r.label.clone(), r.seed))
-            .collect();
-        assert_eq!(
-            keys,
-            vec![
-                ("nothing".into(), 0),
-                ("nothing".into(), 1),
-                ("swap(greedy)".into(), 0),
-                ("swap(greedy)".into(), 1),
-            ]
-        );
-        assert!(bundle.event_count() > 0);
     }
 
     #[test]
@@ -448,6 +422,22 @@ mod tests {
     fn empty_strategy_list_rejected() {
         let mut s = Scenario::template();
         s.strategies.clear();
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "allocated = 40 exceeds platform.n_hosts = 32")]
+    fn allocation_beyond_the_platform_rejected() {
+        let mut s = Scenario::template();
+        s.allocated = 40;
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "allocated = 2 is below app.n_active = 4")]
+    fn allocation_below_the_active_count_rejected() {
+        let mut s = Scenario::template();
+        s.allocated = 2;
         s.validate();
     }
 }

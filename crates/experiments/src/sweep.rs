@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn narrow_grid_under_a_wide_pool_nests_and_caches_replications() {
         use simulator::platform::{LoadSpec, PlatformSpec};
-        use simulator::runner::run_replicated;
+        use simulator::runner::Replication;
         use simulator::strategies::{Nothing, Swap};
         use simulator::AppSpec;
 
@@ -314,9 +314,9 @@ mod tests {
         // grid. Both series replicate the same (spec, seed) inputs.
         let eval = |greedy: &bool, _x: f64| {
             let r = if *greedy {
-                run_replicated(&spec, &app, &Swap::greedy(), 4, &seeds)
+                Replication::new(&spec, &app, &Swap::greedy(), 4, &seeds).run()
             } else {
-                run_replicated(&spec, &app, &Nothing, 2, &seeds)
+                Replication::new(&spec, &app, &Nothing, 2, &seeds).run()
             };
             r.execution_time.mean
         };

@@ -9,7 +9,7 @@
 use crate::config::Scale;
 use crate::figures::{onoff_duty, platform};
 use serde::{Deserialize, Serialize};
-use simulator::runner::{run_replicated, run_replicated_jobs};
+use simulator::runner::Replication;
 use simulator::strategies::{Nothing, Swap};
 use simulator::AppSpec;
 use swap_core::{HistoryWindow, PolicyParams, Predictor};
@@ -66,14 +66,16 @@ pub fn tune(duty: f64, state_bytes: f64, scale: &Scale) -> (f64, Vec<TunedPolicy
     let seeds = scale.seed_list();
     // The baseline fans over seeds; the grid then fans over policies —
     // both bit-identical to serial at any `jobs` setting.
-    let nothing = run_replicated_jobs(&spec, &app, &Nothing, 4, &seeds, scale.jobs)
+    let nothing = Replication::new(&spec, &app, &Nothing, 4, &seeds)
+        .with_jobs(scale.jobs)
+        .run()
         .execution_time
         .mean;
 
     let candidates = grid();
     let mut results: Vec<TunedPolicy> =
         simkit::par::par_map(&candidates, scale.jobs, |_, policy| {
-            let r = run_replicated(&spec, &app, &Swap::new(*policy), 32, &seeds);
+            let r = Replication::new(&spec, &app, &Swap::new(*policy), 32, &seeds).run();
             TunedPolicy {
                 policy: *policy,
                 mean_time: r.execution_time.mean,

@@ -14,7 +14,7 @@
 use experiments::sweep::grid_sweep;
 use experiments::{timing, Scale};
 use simulator::platform::{LoadSpec, PlatformSpec};
-use simulator::runner::run_replicated_policies;
+use simulator::runner::Replication;
 use simulator::strategies::Swap;
 use simulator::AppSpec;
 use std::sync::Arc;
@@ -73,7 +73,10 @@ fn narrow_tournament_beats_the_serial_cell_utilization_ceiling_at_jobs_8() {
             faults::FaultSpec::crashes_only(mtbf, 0)
         };
         let ps = policy::PolicyConfig::for_placement(*placement).build(fs.shock_window_secs);
-        run_replicated_policies(&spec, &app, &Swap::safe(), 6, &seeds, 1, &fs, &ps)
+        Replication::new(&spec, &app, &Swap::safe(), 6, &seeds)
+            .with_faults(&fs)
+            .with_policies(&ps)
+            .run()
             .execution_time
             .mean
     };

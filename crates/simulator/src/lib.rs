@@ -23,8 +23,9 @@
 //! over-allocation is priced ("an over-allocation of 30 processors adds
 //! approximately 20 seconds to the application startup time").
 //!
-//! [`runner`] replicates runs over seeds and aggregates the statistics
-//! the figure harnesses print.
+//! [`runner`] replicates runs over seeds — one [`Replication`] request
+//! per strategy — and aggregates the statistics the figure harnesses
+//! print.
 
 #![warn(missing_docs)]
 
@@ -41,5 +42,5 @@ pub mod strategies;
 pub use app::AppSpec;
 pub use exec::{IterationRecord, RunResult};
 pub use platform::{Host, LoadSpec, Platform, PlatformSpec};
-pub use runner::{run_replicated, run_replicated_faults, Summary};
+pub use runner::{Replication, Summary};
 pub use strategies::{Cr, Dlb, DlbSwap, Nothing, Strategy, Swap};

@@ -9,8 +9,7 @@
 use proptest::prelude::*;
 use simulator::platform::{LoadSpec, PlatformSpec};
 use simulator::runner::{
-    default_seeds, enter_cell, run_replicated_faults_traced, run_replicated_policies_traced,
-    run_replicated_traced, RealizationCache, ReplicatedResult,
+    default_seeds, enter_cell, RealizationCache, ReplicatedResult, Replication,
 };
 use simulator::strategies::{Cr, Strategy, Swap};
 use simulator::AppSpec;
@@ -78,13 +77,13 @@ fn run_case(
 ) -> (ReplicatedResult, Vec<obs::Trace>) {
     let spec = spec(duty);
     let app = app();
-    match (faults, policies) {
-        (Some(fs), Some(ps)) => {
-            run_replicated_policies_traced(&spec, &app, s, 5, seeds, jobs, fs, ps)
-        }
-        (Some(fs), None) => run_replicated_faults_traced(&spec, &app, s, 5, seeds, jobs, fs),
-        _ => run_replicated_traced(&spec, &app, s, 5, seeds, jobs),
+    Replication {
+        jobs,
+        faults,
+        policies,
+        ..Replication::new(&spec, &app, s, 5, seeds)
     }
+    .run_traced()
 }
 
 fn assert_identical(

@@ -12,7 +12,7 @@
 
 use mpi_swap::loadmodel::OnOffSource;
 use mpi_swap::simulator::platform::LoadSpec;
-use mpi_swap::simulator::runner::{default_seeds, run_replicated};
+use mpi_swap::simulator::runner::{default_seeds, Replication};
 use mpi_swap::simulator::strategies::{Nothing, Swap};
 use mpi_swap::simulator::{AppSpec, PlatformSpec};
 use mpi_swap::swap_core::{HistoryWindow, PolicyParams, Predictor};
@@ -25,7 +25,8 @@ fn main() {
     let app = AppSpec::hpdc03(4, 1.0e8);
     let seeds = default_seeds(6);
 
-    let nothing = run_replicated(&platform, &app, &Nothing, 4, &seeds)
+    let nothing = Replication::new(&platform, &app, &Nothing, 4, &seeds)
+        .run()
         .execution_time
         .mean;
     println!("NOTHING baseline: {nothing:.0} s\n");
@@ -47,7 +48,7 @@ fn main() {
                 } else {
                     Predictor::WindowedMean
                 });
-            let r = run_replicated(&platform, &app, &Swap::new(policy), 32, &seeds);
+            let r = Replication::new(&platform, &app, &Swap::new(policy), 32, &seeds).run();
             println!(
                 "{:<10} {:>8.0} s {:>10.0} s {:>+11.1}% {:>10.1}",
                 if pb.is_finite() {
@@ -69,7 +70,7 @@ fn main() {
         ("safe", Swap::safe()),
         ("friendly", Swap::friendly()),
     ] {
-        let r = run_replicated(&platform, &app, &s, 32, &seeds);
+        let r = Replication::new(&platform, &app, &s, 32, &seeds).run();
         println!(
             "  {:<10} {:>8.0} s ({:+.1}% vs nothing, {:.1} swaps)",
             name,

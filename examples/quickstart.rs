@@ -12,7 +12,7 @@
 
 use mpi_swap::loadmodel::OnOffSource;
 use mpi_swap::simulator::platform::LoadSpec;
-use mpi_swap::simulator::runner::{default_seeds, run_replicated};
+use mpi_swap::simulator::runner::{default_seeds, Replication};
 use mpi_swap::simulator::strategies::{Cr, Dlb, Nothing, Strategy, Swap};
 use mpi_swap::simulator::{AppSpec, PlatformSpec};
 
@@ -47,7 +47,7 @@ fn main() {
     );
     let mut baseline = None;
     for (strategy, alloc) in &strategies {
-        let r = run_replicated(&platform, &app, strategy.as_ref(), *alloc, &seeds);
+        let r = Replication::new(&platform, &app, strategy.as_ref(), *alloc, &seeds).run();
         if baseline.is_none() {
             baseline = Some(r.execution_time.mean);
         }

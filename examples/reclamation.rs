@@ -17,7 +17,7 @@ use mpi_swap::loadmodel::OnOffSource;
 use mpi_swap::minimpi::apps::JacobiApp;
 use mpi_swap::minimpi::runtime::{run_iterative, RuntimeConfig};
 use mpi_swap::simulator::platform::{LoadSpec, PlatformSpec};
-use mpi_swap::simulator::runner::{default_seeds, run_replicated};
+use mpi_swap::simulator::runner::{default_seeds, Replication};
 use mpi_swap::simulator::strategies::{Nothing, Swap};
 use mpi_swap::simulator::AppSpec;
 
@@ -58,8 +58,8 @@ fn main() {
     let sim_app = AppSpec::hpdc03(4, 1.0e6);
     let seeds = default_seeds(8);
 
-    let nothing = run_replicated(&spec, &sim_app, &Nothing, 4, &seeds);
-    let swap = run_replicated(&spec, &sim_app, &Swap::greedy(), 32, &seeds);
+    let nothing = Replication::new(&spec, &sim_app, &Nothing, 4, &seeds).run();
+    let swap = Replication::new(&spec, &sim_app, &Swap::greedy(), 32, &seeds).run();
     println!("simulated reclamation sweep point (owner duty 0.4, weight 19):");
     println!(
         "  nothing: {:>7.0} s    swap(greedy): {:>7.0} s  ({:.0}% better, {:.1} swaps/run)",

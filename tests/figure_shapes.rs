@@ -7,7 +7,7 @@
 
 use mpi_swap::loadmodel::{DegenerateHyperExp, HyperExpWorkload, OnOffSource};
 use mpi_swap::simulator::platform::{LoadSpec, PlatformSpec};
-use mpi_swap::simulator::runner::{default_seeds, run_replicated};
+use mpi_swap::simulator::runner::{default_seeds, Replication};
 use mpi_swap::simulator::strategies::{Cr, Dlb, Nothing, Strategy, Swap};
 use mpi_swap::simulator::AppSpec;
 
@@ -28,7 +28,8 @@ fn app(n_active: usize, state: f64, iterations: usize) -> AppSpec {
 }
 
 fn mean_time(load: LoadSpec, a: &AppSpec, s: &dyn Strategy, alloc: usize, seeds: usize) -> f64 {
-    run_replicated(&spec(load), a, s, alloc, &default_seeds(seeds))
+    Replication::new(&spec(load), a, s, alloc, &default_seeds(seeds))
+        .run()
         .execution_time
         .mean
 }

@@ -5,7 +5,7 @@
 
 use mpi_swap::loadmodel::OnOffSource;
 use mpi_swap::simulator::platform::{LoadSpec, PlatformSpec};
-use mpi_swap::simulator::runner::{run_replicated_jobs, run_replicated_traced};
+use mpi_swap::simulator::runner::Replication;
 use mpi_swap::simulator::strategies::{Cr, Dlb, Nothing, Strategy, Swap};
 use mpi_swap::simulator::AppSpec;
 use proptest::prelude::*;
@@ -76,10 +76,9 @@ proptest! {
         };
         let alloc = cfg.n_hosts;
 
-        let serial =
-            run_replicated_jobs(&spec, &app, strategy.as_ref(), alloc, &cfg.seeds, 1);
-        let parallel =
-            run_replicated_jobs(&spec, &app, strategy.as_ref(), alloc, &cfg.seeds, cfg.jobs);
+        let request = Replication::new(&spec, &app, strategy.as_ref(), alloc, &cfg.seeds);
+        let serial = request.run();
+        let parallel = request.with_jobs(cfg.jobs).run();
 
         // The whole Summary (mean, stderr, quantiles) must match exactly,
         // not approximately: same seeds -> same runs -> same bits.
@@ -120,7 +119,9 @@ fn traced_bundle(jobs: usize) -> mpi_swap::obs::TraceBundle {
         ("swap", Box::new(Swap::greedy()) as Box<dyn Strategy>),
         ("cr", Box::new(Cr::greedy())),
     ] {
-        let (_, traces) = run_replicated_traced(&spec, &app, strategy.as_ref(), 12, &seeds, jobs);
+        let (_, traces) = Replication::new(&spec, &app, strategy.as_ref(), 12, &seeds)
+            .with_jobs(jobs)
+            .run_traced();
         for (seed, trace) in seeds.iter().zip(traces) {
             bundle.push(label, *seed, trace);
         }

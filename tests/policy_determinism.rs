@@ -6,7 +6,7 @@
 use mpi_swap::loadmodel::OnOffSource;
 use mpi_swap::policy::{PlacementChoice, PolicyConfig};
 use mpi_swap::simulator::platform::{LoadSpec, PlatformSpec};
-use mpi_swap::simulator::runner::run_replicated_policies_traced;
+use mpi_swap::simulator::runner::Replication;
 use mpi_swap::simulator::strategies::{Cr, Strategy, Swap};
 use mpi_swap::simulator::AppSpec;
 use proptest::prelude::*;
@@ -119,16 +119,12 @@ fn run_traced(cfg: &Config, jobs: usize) -> (Vec<u64>, String) {
         0 => Box::new(Swap::greedy()),
         _ => Box::new(Cr::greedy()),
     };
-    let (result, traces) = run_replicated_policies_traced(
-        &spec,
-        &app,
-        strategy.as_ref(),
-        cfg.n_hosts,
-        &cfg.seeds,
-        jobs,
-        &fs,
-        &ps,
-    );
+    let (result, traces) =
+        Replication::new(&spec, &app, strategy.as_ref(), cfg.n_hosts, &cfg.seeds)
+            .with_jobs(jobs)
+            .with_faults(&fs)
+            .with_policies(&ps)
+            .run_traced();
     let mut bundle = mpi_swap::obs::TraceBundle::new();
     for (seed, trace) in cfg.seeds.iter().zip(traces) {
         bundle.push(placement.name(), *seed, trace);
