@@ -237,21 +237,26 @@ impl DecisionEngine {
                 .total_cmp(&b.predicted_perf)
                 .then(a.id.cmp(&b.id))
         });
-        // Fastest spare first.
-        spares.sort_by(|a, b| {
+        // Fastest spare first. At most one spare per active process is
+        // paired, so only that many are selected and sorted; the order is
+        // total, so they are the ones a full sort would put first.
+        let fastest_first = |a: &&ProcessorSnapshot, b: &&ProcessorSnapshot| {
             b.predicted_perf
                 .total_cmp(&a.predicted_perf)
                 .then(a.id.cmp(&b.id))
-        });
-
-        let original_bottleneck =
-            bottleneck_perf(&active.iter().map(|p| p.predicted_perf).collect::<Vec<_>>());
+        };
+        if spares.len() > active.len() {
+            spares.select_nth_unstable_by(active.len(), fastest_first);
+            spares.truncate(active.len());
+        }
+        spares.sort_by(fastest_first);
 
         let cap = self.max_swaps_per_decision.unwrap_or(usize::MAX);
         let mut pairs: Vec<SwapPair> = Vec::new();
         // Performance multiset of the active set as swaps are applied, for
         // the cumulative application-improvement gate.
         let mut applied_perfs: Vec<f64> = active.iter().map(|p| p.predicted_perf).collect();
+        let original_bottleneck = bottleneck_perf(&applied_perfs);
         let mut stopped_because = StopReason::Exhausted;
         let mut rejected: Option<RejectedSwap> = None;
         let refusal = |slow: &ProcessorSnapshot, fast: &ProcessorSnapshot, payback| RejectedSwap {
@@ -300,10 +305,15 @@ impl DecisionEngine {
             // Gate 3 (cumulative): whole-application improvement.
             // With equal work partitions the application rate is set by
             // the slowest active processor; in time terms the improvement
-            // is 1 − old_bottleneck/new_bottleneck.
-            let mut candidate_perfs = applied_perfs.clone();
-            candidate_perfs[k] = new;
-            let new_bottleneck = bottleneck_perf(&candidate_perfs);
+            // is 1 − old_bottleneck/new_bottleneck. The new bottleneck is
+            // the minimum of the applied perfs with this pair applied,
+            // folded in the same order as `bottleneck_perf`.
+            let new_bottleneck = applied_perfs
+                .iter()
+                .enumerate()
+                .fold(f64::INFINITY, |m, (j, &p)| {
+                    m.min(if j == k { new } else { p })
+                });
             let app_gain = if new_bottleneck > 0.0 {
                 1.0 - original_bottleneck / new_bottleneck
             } else {
@@ -316,7 +326,7 @@ impl DecisionEngine {
                 break;
             }
 
-            applied_perfs = candidate_perfs;
+            applied_perfs[k] = new;
             pairs.push(SwapPair {
                 from: slow.id,
                 to: fast.id,
@@ -360,6 +370,136 @@ mod tests {
 
     fn cheap_cost() -> SwapCost {
         SwapCost::new(0.0, 1e9) // ~free swaps: isolates the policy gates
+    }
+
+    /// The full-sort form of `DecisionEngine::decide`: every spare
+    /// sorted, the candidate perfs cloned for each pair. The reference
+    /// that partial spare selection must decide exactly as.
+    fn full_sort_decide(
+        engine: &DecisionEngine,
+        procs: &[ProcessorSnapshot],
+        old_iter_time: f64,
+        process_size_bytes: f64,
+    ) -> SwapDecision {
+        assert!(old_iter_time > 0.0, "iteration time must be positive");
+        let swap_time = engine.cost.swap_time(process_size_bytes);
+
+        let mut active: Vec<&ProcessorSnapshot> = procs.iter().filter(|p| p.active).collect();
+        let mut spares: Vec<&ProcessorSnapshot> = procs.iter().filter(|p| !p.active).collect();
+        if active.is_empty() || spares.is_empty() {
+            return SwapDecision::none();
+        }
+        // Slowest active first; ties broken by id for determinism.
+        active.sort_by(|a, b| {
+            a.predicted_perf
+                .total_cmp(&b.predicted_perf)
+                .then(a.id.cmp(&b.id))
+        });
+        // Fastest spare first.
+        spares.sort_by(|a, b| {
+            b.predicted_perf
+                .total_cmp(&a.predicted_perf)
+                .then(a.id.cmp(&b.id))
+        });
+
+        let original_bottleneck =
+            bottleneck_perf(&active.iter().map(|p| p.predicted_perf).collect::<Vec<_>>());
+
+        let cap = engine.max_swaps_per_decision.unwrap_or(usize::MAX);
+        let mut pairs: Vec<SwapPair> = Vec::new();
+        // Performance multiset of the active set as swaps are applied, for
+        // the cumulative application-improvement gate.
+        let mut applied_perfs: Vec<f64> = active.iter().map(|p| p.predicted_perf).collect();
+        let mut stopped_because = StopReason::Exhausted;
+        let mut rejected: Option<RejectedSwap> = None;
+        let refusal = |slow: &ProcessorSnapshot, fast: &ProcessorSnapshot, payback| RejectedSwap {
+            from: slow.id,
+            to: fast.id,
+            old_perf: slow.predicted_perf,
+            new_perf: fast.predicted_perf,
+            process_improvement: improvement(slow.predicted_perf, fast.predicted_perf),
+            payback,
+        };
+
+        for (k, (slow, fast)) in active.iter().zip(spares.iter()).enumerate() {
+            if pairs.len() >= cap {
+                stopped_because = StopReason::CapReached;
+                break;
+            }
+            let old = slow.predicted_perf;
+            let new = fast.predicted_perf;
+            if old <= 0.0 || new <= 0.0 {
+                // Degenerate measurement; refuse to extrapolate.
+                stopped_because = StopReason::NoImprovement;
+                rejected = Some(refusal(slow, fast, None));
+                break;
+            }
+
+            // Gate 1: strict per-process improvement above the threshold.
+            let proc_gain = improvement(old, new);
+            if proc_gain <= engine.policy.min_process_improvement {
+                stopped_because = if proc_gain <= 0.0 {
+                    StopReason::NoImprovement
+                } else {
+                    StopReason::ProcessGateFailed
+                };
+                rejected = Some(refusal(slow, fast, None));
+                break;
+            }
+
+            // Gate 2: payback distance within the policy threshold.
+            let payback = payback_distance(swap_time, old_iter_time, old, new);
+            if !(0.0..=engine.policy.payback_threshold).contains(&payback) {
+                stopped_because = StopReason::PaybackGateFailed;
+                rejected = Some(refusal(slow, fast, payback.is_finite().then_some(payback)));
+                break;
+            }
+
+            // Gate 3 (cumulative): whole-application improvement.
+            // With equal work partitions the application rate is set by
+            // the slowest active processor; in time terms the improvement
+            // is 1 − old_bottleneck/new_bottleneck.
+            let mut candidate_perfs = applied_perfs.clone();
+            candidate_perfs[k] = new;
+            let new_bottleneck = bottleneck_perf(&candidate_perfs);
+            let app_gain = if new_bottleneck > 0.0 {
+                1.0 - original_bottleneck / new_bottleneck
+            } else {
+                0.0
+            };
+            if engine.policy.min_app_improvement > 0.0
+                && app_gain <= engine.policy.min_app_improvement
+            {
+                stopped_because = StopReason::AppGateFailed;
+                rejected = Some(refusal(slow, fast, payback.is_finite().then_some(payback)));
+                break;
+            }
+
+            applied_perfs = candidate_perfs;
+            pairs.push(SwapPair {
+                from: slow.id,
+                to: fast.id,
+                old_perf: old,
+                new_perf: new,
+                payback,
+                process_improvement: proc_gain,
+            });
+        }
+
+        if pairs.is_empty() {
+            return SwapDecision {
+                stopped_because,
+                rejected,
+                ..SwapDecision::none()
+            };
+        }
+        let final_bottleneck = bottleneck_perf(&applied_perfs);
+        SwapDecision {
+            pairs,
+            app_improvement: 1.0 - original_bottleneck / final_bottleneck,
+            stopped_because,
+            rejected,
+        }
     }
 
     #[test]
@@ -751,6 +891,51 @@ mod tests {
                 prop_assert!(pair.new_perf > pair.old_perf);
                 prop_assert!(pair.payback >= 0.0);
                 prop_assert!(pair.payback <= thresh);
+            }
+        }
+
+        /// Selecting the fastest spares before sorting them decides
+        /// exactly as sorting every spare: the same pairs, application
+        /// improvement, stop reason and refusal. Perfs come from a small
+        /// set, so ties are common and fall to the id order; there are
+        /// fewer, as many or more spares than active processes.
+        #[test]
+        fn prop_partial_selection_matches_full_sort(
+            n_active in 1usize..6,
+            n_spares in 0usize..12,
+            active_perfs in proptest::collection::vec(
+                prop::sample::select(vec![1.0, 2.0, 2.5, 3.0, 5.0, 8.0]),
+                6..7,
+            ),
+            spare_perfs in proptest::collection::vec(
+                prop::sample::select(vec![0.0, 1.0, 2.0, 2.5, 3.0, 5.0, 8.0]),
+                12..13,
+            ),
+            stride in prop::sample::select(vec![1usize, 3, 7, 10]),
+            offset in 0usize..101,
+            iter_time in prop::sample::select(vec![1.0, 10.0, 60.0, 600.0]),
+            size in prop::sample::select(vec![1e3, 1e6, 1e8]),
+        ) {
+            // Distinct ids in a scrambled order (101 is prime).
+            let procs: Vec<ProcessorSnapshot> = active_perfs[..n_active]
+                .iter()
+                .map(|&p| (true, p))
+                .chain(spare_perfs[..n_spares].iter().map(|&p| (false, p)))
+                .enumerate()
+                .map(|(i, (active, p))| snap((i * stride + offset) % 101, active, p))
+                .collect();
+            let cost = SwapCost::new(1e-4, 6e6);
+            let engines = [
+                DecisionEngine::new(PolicyParams::greedy(), cost),
+                DecisionEngine::new(PolicyParams::safe(), cost),
+                DecisionEngine::new(PolicyParams::friendly(), cost),
+                DecisionEngine::new(PolicyParams::greedy(), cost).with_max_swaps(1),
+            ];
+            for engine in &engines {
+                prop_assert_eq!(
+                    engine.decide(&procs, iter_time, size),
+                    full_sort_decide(engine, &procs, iter_time, size)
+                );
             }
         }
     }

@@ -5,7 +5,7 @@
 //! round-robin time-sharing model the paper's simulation uses (one
 //! application process plus `k` competitors each get an equal share).
 
-use crate::timeline::Timeline;
+use crate::timeline::{Cursor, Timeline};
 use serde::{Deserialize, Serialize};
 
 /// A workstation CPU with a reference speed and a time-varying external
@@ -67,7 +67,13 @@ impl Cpu {
     /// Mean delivered speed (flop/s) over `[t0, t1]` — what a
     /// measurement-window predictor observes.
     pub fn mean_delivered_speed(&self, t0: f64, t1: f64) -> f64 {
-        self.speed * self.availability.mean(t0, t1)
+        self.mean_delivered_speed_with(t0, t1, &mut Cursor::default())
+    }
+
+    /// [`mean_delivered_speed`](Self::mean_delivered_speed), searching the
+    /// availability timeline from `cursor` (a hint; see [`Cursor`]).
+    pub fn mean_delivered_speed_with(&self, t0: f64, t1: f64, cursor: &mut Cursor) -> f64 {
+        self.speed * self.availability.mean_with(t0, t1, cursor)
     }
 
     /// The instant at which `flops` of work started at `t0` completes,
@@ -76,8 +82,15 @@ impl Cpu {
     /// Returns `f64::INFINITY` only if the availability tail is zero, which
     /// the `1/(1+k)` model cannot produce for finite load.
     pub fn completion_time(&self, t0: f64, flops: f64) -> f64 {
+        self.completion_time_with(t0, flops, &mut Cursor::default())
+    }
+
+    /// [`completion_time`](Self::completion_time), searching the
+    /// availability timeline from `cursor` (a hint; see [`Cursor`]).
+    pub fn completion_time_with(&self, t0: f64, flops: f64, cursor: &mut Cursor) -> f64 {
         assert!(flops >= 0.0, "work must be non-negative");
-        self.availability.advance(t0, flops / self.speed)
+        self.availability
+            .advance_with(t0, flops / self.speed, cursor)
     }
 
     /// Total flops the CPU can deliver to the application over `[t0, t1]`.

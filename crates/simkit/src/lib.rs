@@ -50,4 +50,4 @@ pub use engine::Engine;
 pub use event::{EventId, EventQueue};
 pub use link::{FluidLink, SharedLink};
 pub use time::SimTime;
-pub use timeline::Timeline;
+pub use timeline::{Cursor, Timeline};

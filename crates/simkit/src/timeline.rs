@@ -12,6 +12,12 @@
 //! given a start instant and an amount of work, at what instant does the
 //! work complete. Both are exact for step functions (no numerical
 //! quadrature is involved).
+//!
+//! A simulation run queries each host's timeline at instants that mostly
+//! move forward, so these queries also have a `*_with` form that carries a
+//! [`Cursor`]: the segment the previous query ended in. The cursor is
+//! only a hint. Any value, stale or out of range, gives the same answer
+//! bit for bit; a good one turns the segment search into an O(1) step.
 
 use serde::{Deserialize, Serialize};
 
@@ -38,6 +44,30 @@ pub struct Timeline {
     /// until the next breakpoint (or forever, for the last one).
     points: Vec<(f64, f64)>,
 }
+
+/// A segment index carried from one [`Timeline`] query to the next.
+///
+/// A query that takes a cursor starts its segment search there: when the
+/// query instant lies in the hinted segment or the one after, the search
+/// is O(1); otherwise it binary-searches the breakpoints on the far side
+/// of the hint. The answer never depends on the cursor's value, so one
+/// cursor may serve queries in any order, even on another timeline.
+/// `Cursor::default()` is a fresh search.
+///
+/// ```
+/// use simkit::{Cursor, Timeline};
+///
+/// let avail = Timeline::from_points([(0.0, 1.0), (10.0, 0.5), (20.0, 1.0)]);
+/// let mut cursor = Cursor::default();
+/// // One host's iterations: each starts where the previous one ended.
+/// let end = avail.advance_with(0.0, 12.5, &mut cursor);
+/// assert_eq!(end, 15.0);
+/// assert_eq!(avail.advance_with(end, 7.5, &mut cursor), 25.0);
+/// // A query that moves backward gets the same answer as a fresh one.
+/// assert_eq!(avail.integrate_with(5.0, 15.0, &mut cursor), avail.integrate(5.0, 15.0));
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Cursor(usize);
 
 impl Timeline {
     /// A timeline that is `value` everywhere.
@@ -108,16 +138,47 @@ impl Timeline {
         &self.points
     }
 
-    /// Iterates segments overlapping `[t0, t1)` as `(start, end, value)`,
-    /// clipped to the interval. The last segment of the timeline is treated
-    /// as extending to `t1`.
-    pub fn segments_in(&self, t0: f64, t1: f64) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
-        let start_idx = self.points.partition_point(|&(pt, _)| pt <= t0).max(1) - 1;
-        self.points[start_idx..]
+    /// The index of the segment holding `t` (segment 0 for `t < 0`),
+    /// searched from the hint in `cursor`, which is left pointing at it.
+    fn seek(&self, t: f64, cursor: &mut Cursor) -> usize {
+        let pts = &self.points;
+        let hint = cursor.0;
+        let idx = if hint < pts.len() && pts[hint].0 <= t {
+            // `t` lies in the hinted segment or after it: try the hinted
+            // and the next segment, then search the rest.
+            let next = hint + 1;
+            match pts.get(next) {
+                Some(&(start, _)) if start <= t => match pts.get(next + 1) {
+                    Some(&(after, _)) if after <= t => {
+                        next + pts[next + 1..].partition_point(|&(pt, _)| pt <= t)
+                    }
+                    _ => next,
+                },
+                _ => hint,
+            }
+        } else {
+            // Every breakpoint from the hint on lies after `t` (or the
+            // hint is out of range): search the ones before it.
+            let end = hint.min(pts.len());
+            pts[..end].partition_point(|&(pt, _)| pt <= t).max(1) - 1
+        };
+        cursor.0 = idx;
+        idx
+    }
+
+    /// The segments from index `start` on that overlap `[t0, t1)`, as
+    /// `(index, start, end, value)` clipped to the interval.
+    fn segments_from(
+        &self,
+        start: usize,
+        t0: f64,
+        t1: f64,
+    ) -> impl Iterator<Item = (usize, f64, f64, f64)> + '_ {
+        self.points[start..]
             .iter()
             .enumerate()
             .map_while(move |(k, &(seg_start, v))| {
-                let i = start_idx + k;
+                let i = start + k;
                 let seg_end = self
                     .points
                     .get(i + 1)
@@ -127,20 +188,39 @@ impl Timeline {
                 if lo >= t1 {
                     None
                 } else {
-                    Some((lo, hi, v))
+                    Some((i, lo, hi, v))
                 }
             })
-            .filter(|&(lo, hi, _)| hi > lo)
+            .filter(|&(_, lo, hi, _)| hi > lo)
+    }
+
+    /// Iterates segments overlapping `[t0, t1)` as `(start, end, value)`,
+    /// clipped to the interval. The last segment of the timeline is treated
+    /// as extending to `t1`.
+    pub fn segments_in(&self, t0: f64, t1: f64) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
+        let start = self.seek(t0, &mut Cursor::default());
+        self.segments_from(start, t0, t1)
+            .map(|(_, lo, hi, v)| (lo, hi, v))
     }
 
     /// Exact integral of the function over `[t0, t1]`.
     pub fn integrate(&self, t0: f64, t1: f64) -> f64 {
+        self.integrate_with(t0, t1, &mut Cursor::default())
+    }
+
+    /// [`integrate`](Self::integrate), searching from `cursor` and leaving
+    /// it at the last segment the interval overlaps.
+    pub fn integrate_with(&self, t0: f64, t1: f64, cursor: &mut Cursor) -> f64 {
         assert!(
             t1 >= t0,
             "integrate: interval must be ordered ({t0} > {t1})"
         );
-        self.segments_in(t0, t1)
-            .map(|(lo, hi, v)| (hi - lo) * v)
+        let start = self.seek(t0, cursor);
+        self.segments_from(start, t0, t1)
+            .map(|(i, lo, hi, v)| {
+                cursor.0 = i;
+                (hi - lo) * v
+            })
             .sum()
     }
 
@@ -150,12 +230,18 @@ impl Timeline {
     /// Returns `f64::INFINITY` when the timeline's tail is zero and the
     /// remaining work can never complete.
     pub fn advance(&self, t0: f64, work: f64) -> f64 {
+        self.advance_with(t0, work, &mut Cursor::default())
+    }
+
+    /// [`advance`](Self::advance), searching from `cursor` and leaving it
+    /// at the segment where the work completes.
+    pub fn advance_with(&self, t0: f64, work: f64, cursor: &mut Cursor) -> f64 {
         assert!(work >= 0.0, "advance: work must be non-negative");
         if work == 0.0 {
             return t0;
         }
         let mut remaining = work;
-        let start_idx = self.points.partition_point(|&(pt, _)| pt <= t0).max(1) - 1;
+        let start_idx = self.seek(t0, cursor);
         for (i, &(seg_start, v)) in self.points[start_idx..].iter().enumerate() {
             let idx = start_idx + i;
             let lo = seg_start.max(t0);
@@ -166,6 +252,7 @@ impl Timeline {
             if seg_end <= lo {
                 continue;
             }
+            cursor.0 = idx;
             if v > 0.0 {
                 let capacity = (seg_end - lo) * v; // may be INF for the tail
                 if remaining <= capacity {
@@ -183,10 +270,16 @@ impl Timeline {
     /// Mean value over `[t0, t1]` (zero-length intervals return the point
     /// value at `t0`).
     pub fn mean(&self, t0: f64, t1: f64) -> f64 {
+        self.mean_with(t0, t1, &mut Cursor::default())
+    }
+
+    /// [`mean`](Self::mean), searching from `cursor` as
+    /// [`integrate_with`](Self::integrate_with) does.
+    pub fn mean_with(&self, t0: f64, t1: f64, cursor: &mut Cursor) -> f64 {
         if t1 <= t0 {
-            return self.value_at(t0);
+            return self.points[self.seek(t0, cursor)].1;
         }
-        self.integrate(t0, t1) / (t1 - t0)
+        self.integrate_with(t0, t1, cursor) / (t1 - t0)
     }
 
     /// Pointwise transformation of the values. `f` must map equal inputs to
@@ -485,6 +578,62 @@ mod tests {
             let e2 = tl.advance(t0, hi);
             prop_assert!(e1 >= t0);
             prop_assert!(e2 >= e1);
+        }
+
+        /// A cursor is only a hint: every cursor-carrying query answers
+        /// bit for bit what a fresh search answers, whatever the cursor
+        /// held (stale, or out of range), along query sequences that move
+        /// forward, repeat, jump back, start below 0 and run past the
+        /// last breakpoint. Zero-valued segments and a zero tail make
+        /// `advance` skip segments and return `INFINITY`.
+        #[test]
+        fn prop_cursor_is_only_a_hint(
+            segments in proptest::collection::vec(
+                (0.1f64..20.0, prop::sample::select(vec![0.0, 0.0, 0.25, 0.5, 1.0, 2.0])),
+                1..12,
+            ),
+            start in prop::sample::select(vec![0usize, 1, 2, 3, 5, 8, 11, 12, 13, 40, usize::MAX]),
+            queries in proptest::collection::vec((0usize..5, 0.0f64..30.0, 0.0f64..40.0), 1..24),
+        ) {
+            let mut t = 0.0;
+            let points: Vec<(f64, f64)> = segments
+                .iter()
+                .map(|&(len, v)| {
+                    let p = (t, v);
+                    t += len;
+                    p
+                })
+                .collect();
+            let tl = Timeline::from_points(points);
+            let mut cursor = Cursor(start);
+            let mut t0 = 0.0;
+            for &(step, dt, span) in &queries {
+                t0 = match step {
+                    // Forward, repeat, back (possibly below 0).
+                    0 => t0 + dt,
+                    1 => t0,
+                    2 => t0 - dt,
+                    // Exactly on a breakpoint.
+                    3 => tl.points[dt as usize % tl.points.len()].0,
+                    // Anywhere, past the last breakpoint too.
+                    _ => dt * 10.0 - 20.0,
+                };
+                // The segment search itself, against the whole-range one.
+                let whole = tl.points.partition_point(|&(pt, _)| pt <= t0).max(1) - 1;
+                let mut probe = cursor;
+                prop_assert_eq!(tl.seek(t0, &mut probe), whole, "seek({}) from {:?}", t0, cursor);
+                let fresh = tl.advance(t0, span);
+                let hinted = tl.advance_with(t0, span, &mut cursor);
+                prop_assert_eq!(hinted.to_bits(), fresh.to_bits(), "advance({}, {})", t0, span);
+                let fresh = tl.integrate(t0, t0 + span);
+                let hinted = tl.integrate_with(t0, t0 + span, &mut cursor);
+                prop_assert_eq!(hinted.to_bits(), fresh.to_bits(), "integrate({}, {})", t0, span);
+                for t1 in [t0 + span, t0 - span] {
+                    let fresh = tl.mean(t0, t1);
+                    let hinted = tl.mean_with(t0, t1, &mut cursor);
+                    prop_assert_eq!(hinted.to_bits(), fresh.to_bits(), "mean({}, {})", t0, t1);
+                }
+            }
         }
     }
 }

@@ -9,6 +9,7 @@
 use crate::app::AppSpec;
 use crate::platform::Platform;
 use serde::{Deserialize, Serialize};
+use simkit::Cursor;
 
 /// What happened during one application iteration.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -102,7 +103,21 @@ pub struct IterationOutcome {
 /// Mean delivered speed of `host` over `[t0, t1]` — the probe measurement
 /// a swap handler reports for a spare processor.
 pub fn probe_host(platform: &Platform, host: usize, t0: f64, t1: f64) -> f64 {
-    platform.hosts[host].mean_delivered(t0, t1.max(t0))
+    probe_host_with(platform, host, t0, t1, &mut Cursor::default())
+}
+
+/// [`probe_host`], searching the host's timeline from `cursor` (a hint;
+/// see [`Cursor`]).
+pub fn probe_host_with(
+    platform: &Platform,
+    host: usize,
+    t0: f64,
+    t1: f64,
+    cursor: &mut Cursor,
+) -> f64 {
+    platform.hosts[host]
+        .cpu
+        .mean_delivered_speed_with(t0, t1.max(t0), cursor)
 }
 
 /// One iteration attempted under a fault plan: either it completed, or
@@ -110,7 +125,8 @@ pub fn probe_host(platform: &Platform, host: usize, t0: f64, t1: f64) -> f64 {
 ///
 /// The `Default` value is an empty scratch: hoist one outside a
 /// strategy's iteration loop and [`run_iteration`] recycles its vectors
-/// instead of allocating fresh ones every iteration.
+/// instead of allocating fresh ones every iteration, and carries one
+/// timeline [`Cursor`] per host from each iteration to the next.
 #[derive(Clone, Debug, Default)]
 pub struct FaultedIteration {
     /// The iteration as it would have unfolded with no crash. Only
@@ -126,6 +142,9 @@ pub struct FaultedIteration {
     /// the survivors' compute completions and the failed hosts' crash
     /// instants. Equal to `outcome.end` when nothing failed.
     pub detected: f64,
+    /// Where each host's last compute-phase query ended, indexed by host
+    /// id: the next iteration starts later, so its search starts here.
+    cursors: Vec<Cursor>,
 }
 
 /// Runs one BSP iteration starting at `t0` under `plan`, writing into
@@ -162,12 +181,18 @@ pub fn run_iteration(
     assert_eq!(active.len(), work.len(), "active/work length mismatch");
     assert!(!active.is_empty(), "iteration needs at least one process");
 
+    if fi.cursors.len() < platform.hosts.len() {
+        fi.cursors.resize(platform.hosts.len(), Cursor::default());
+    }
+    let cursors = &mut fi.cursors;
     let out = &mut fi.outcome;
     let mut compute_end = t0;
     out.completions.clear();
     out.completions.reserve(active.len());
     for (&host, &w) in active.iter().zip(work) {
-        let done = platform.hosts[host].cpu.completion_time(t0, w);
+        let done = platform.hosts[host]
+            .cpu
+            .completion_time_with(t0, w, &mut cursors[host]);
         assert!(
             done.is_finite(),
             "host {host} can never finish {w} flops from t={t0}"
@@ -185,7 +210,8 @@ pub fn run_iteration(
         out.measured_rates.push(if *done > t0 && w > 0.0 {
             w / (*done - t0)
         } else {
-            platform.hosts[host].mean_delivered(t0, compute_end.max(t0 + 1.0))
+            let t1 = compute_end.max(t0 + 1.0);
+            probe_host_with(platform, host, t0, t1, &mut cursors[host])
         });
     }
 

@@ -20,15 +20,9 @@ pub fn fastest_hosts(platform: &Platform, k: usize, t: f64) -> Vec<usize> {
         "requested {k} hosts from a platform of {}",
         platform.hosts.len()
     );
-    let mut ids: Vec<usize> = (0..platform.hosts.len()).collect();
-    ids.sort_by(|&a, &b| {
-        platform.hosts[b]
-            .delivered_at(t)
-            .total_cmp(&platform.hosts[a].delivered_at(t))
-            .then(a.cmp(&b))
-    });
-    ids.truncate(k);
-    ids
+    best_first(0..platform.hosts.len(), k, |h| {
+        platform.hosts[h].delivered_at(t)
+    })
 }
 
 /// The `k` fastest among a candidate subset (same ordering rules).
@@ -41,15 +35,22 @@ pub fn fastest_among(platform: &Platform, candidates: &[usize], k: usize, t: f64
         "requested {k} of {}",
         candidates.len()
     );
-    let mut ids = candidates.to_vec();
-    ids.sort_by(|&a, &b| {
-        platform.hosts[b]
-            .delivered_at(t)
-            .total_cmp(&platform.hosts[a].delivered_at(t))
-            .then(a.cmp(&b))
-    });
-    ids.truncate(k);
-    ids
+    best_first(candidates.iter().copied(), k, |h| {
+        platform.hosts[h].delivered_at(t)
+    })
+}
+
+/// The `k` ids with the highest `key`, best first, ties by id: each
+/// candidate's key is evaluated once, then `(key, id)` pairs are sorted
+/// by that total order.
+pub(crate) fn best_first(
+    candidates: impl IntoIterator<Item = usize>,
+    k: usize,
+    key: impl Fn(usize) -> f64,
+) -> Vec<usize> {
+    let mut keyed: Vec<(f64, usize)> = candidates.into_iter().map(|h| (key(h), h)).collect();
+    keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    keyed.into_iter().take(k).map(|(_, h)| h).collect()
 }
 
 /// Equal-chunk partition: every process gets `flops_per_proc` work.

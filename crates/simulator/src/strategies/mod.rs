@@ -23,7 +23,7 @@ pub use swap::Swap;
 use crate::app::AppSpec;
 use crate::exec::{IterationOutcome, RunResult};
 use crate::platform::Platform;
-use crate::schedule::{balanced_partition, equal_partition};
+use crate::schedule::{balanced_partition, best_first, equal_partition};
 
 /// Everything a strategy needs for one run.
 #[derive(Clone, Copy)]
@@ -195,12 +195,9 @@ pub(crate) fn rank_by_probe(
     t0: f64,
     t1: f64,
 ) -> Vec<usize> {
-    let mut ranked: Vec<(f64, usize)> = candidates
-        .into_iter()
-        .map(|h| (crate::exec::probe_host(platform, h, t0, t1), h))
-        .collect();
-    ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    ranked.into_iter().map(|(_, h)| h).collect()
+    best_first(candidates, usize::MAX, |h| {
+        crate::exec::probe_host(platform, h, t0, t1)
+    })
 }
 
 /// Builds the [`policy::SpareCandidate`] descriptors a placement policy

@@ -10,7 +10,7 @@
 
 use super::{RunContext, Strategy};
 use crate::exec::{run_iteration, FaultedIteration, IterationRecord, RunResult};
-use crate::schedule::equal_partition;
+use crate::schedule::{best_first, equal_partition};
 
 /// Free-migration, future-seeing host selection — an upper bound on every
 /// swapping policy.
@@ -26,7 +26,8 @@ pub struct Oracle;
 
 impl Oracle {
     /// Picks the `n` hosts with the highest delivered capacity over
-    /// `[t, t + window]`, best first, drawn from `candidates`.
+    /// `[t, t + window]`, best first (ties by id), drawn from
+    /// `candidates`.
     fn best_hosts_over(
         ctx: &RunContext<'_>,
         candidates: Vec<usize>,
@@ -34,14 +35,8 @@ impl Oracle {
         t: f64,
         window: f64,
     ) -> Vec<usize> {
-        let mut ids = candidates;
-        ids.sort_by(|&a, &b| {
-            let ca = ctx.platform.hosts[a].cpu.capacity(t, t + window);
-            let cb = ctx.platform.hosts[b].cpu.capacity(t, t + window);
-            cb.total_cmp(&ca).then(a.cmp(&b))
-        });
-        ids.truncate(n);
-        ids
+        let hosts = &ctx.platform.hosts;
+        best_first(candidates, n, |h| hosts[h].cpu.capacity(t, t + window))
     }
 }
 

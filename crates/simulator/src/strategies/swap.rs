@@ -12,10 +12,10 @@
 
 use super::{choose_spare, Partition, RunContext, Strategy};
 use crate::exec::{
-    probe_host, run_iteration, FaultedIteration, IterationOutcome, IterationRecord, RunResult,
+    probe_host_with, run_iteration, FaultedIteration, IterationOutcome, IterationRecord, RunResult,
 };
 use crate::schedule::fastest_hosts;
-use std::collections::HashMap;
+use simkit::Cursor;
 use swap_core::{
     DecisionEngine, PerfHistory, PolicyParams, ProcessorSnapshot, SwapCost, SwapDecision,
 };
@@ -101,11 +101,24 @@ impl Strategy for Swap {
 pub(super) struct Manager {
     policy: PolicyParams,
     engine: DecisionEngine,
-    histories: HashMap<usize, PerfHistory>,
+    /// What the manager knows of each host, indexed by host id (not by
+    /// pool position, which shifts when crashed hosts leave the pool).
+    hosts: Vec<Tracked>,
     /// Every pool member's prediction at the last decision point, in
     /// pool order (reused across iterations: the replication hot path
     /// runs thousands of these loops).
     pub(super) snapshots: Vec<ProcessorSnapshot>,
+}
+
+/// The manager's record of one host.
+struct Tracked {
+    /// Measurements, recorded for pool members only.
+    history: PerfHistory,
+    /// Where the host's last probe ended in its load timeline.
+    cursor: Cursor,
+    /// Whether an application process runs here, as of the last
+    /// [`Manager::mark_active`].
+    active: bool,
 }
 
 impl Manager {
@@ -119,11 +132,26 @@ impl Manager {
         if let Some(max) = max_swaps {
             engine = engine.with_max_swaps(max);
         }
+        let hosts = ctx.platform.hosts.iter().map(|_| Tracked {
+            history: PerfHistory::new(),
+            cursor: Cursor::default(),
+            active: false,
+        });
         Manager {
             policy,
             engine,
-            histories: pool.iter().map(|&h| (h, PerfHistory::new())).collect(),
+            hosts: hosts.collect(),
             snapshots: Vec::with_capacity(pool.len()),
+        }
+    }
+
+    /// Flags exactly the hosts in `active` as active.
+    fn mark_active(&mut self, active: &[usize]) {
+        for host in &mut self.hosts {
+            host.active = false;
+        }
+        for &h in active {
+            self.hosts[h].active = true;
         }
     }
 
@@ -138,18 +166,17 @@ impl Manager {
         t: f64,
         out: &IterationOutcome,
     ) {
+        self.mark_active(active);
         for (k, &h) in active.iter().enumerate() {
-            self.histories
-                .get_mut(&h)
-                .expect("active host is in pool")
-                .record(out.end, out.measured_rates[k]);
+            self.hosts[h].history.record(out.end, out.measured_rates[k]);
         }
-        for &h in pool.iter().filter(|h| !active.contains(h)) {
-            let probed = probe_host(ctx.platform, h, t, out.compute_end);
-            self.histories
-                .get_mut(&h)
-                .expect("spare host is in pool")
-                .record(out.end, probed);
+        for &h in pool {
+            let host = &mut self.hosts[h];
+            if host.active {
+                continue;
+            }
+            let probed = probe_host_with(ctx.platform, h, t, out.compute_end, &mut host.cursor);
+            host.history.record(out.end, probed);
             ctx.emit(|| obs::TraceEvent::Probe {
                 t: out.end,
                 host: h,
@@ -171,12 +198,15 @@ impl Manager {
         iter_time: f64,
         now: f64,
     ) -> SwapDecision {
+        self.mark_active(active);
         self.snapshots.clear();
         self.snapshots.extend(pool.iter().map(|&h| {
+            let host = &self.hosts[h];
             ProcessorSnapshot {
                 id: h,
-                active: active.contains(&h),
-                predicted_perf: self.histories[&h]
+                active: host.active,
+                predicted_perf: host
+                    .history
                     .predict(self.policy.predictor, self.policy.history, now)
                     .expect("history has at least one sample"),
             }
