@@ -183,40 +183,63 @@ impl Scenario {
 
     /// Runs every strategy, in order.
     pub fn run(&self) -> Vec<ReplicatedResult> {
-        self.each_replication(|request| request.run())
+        self.each_replication(|request| (request.run(), ()))
+            .into_iter()
+            .map(|(result, ())| result)
+            .collect()
     }
 
     /// Runs every strategy with tracing on, returning the results plus
-    /// one [`obs::RunTrace`] per `(strategy, seed)`, labelled by strategy
+    /// one [`obs::RunTrace`] per `(strategy, seed)`, labelled by result
     /// name, in deterministic (strategy-major, seed-minor) order.
     pub fn run_traced(&self) -> (Vec<ReplicatedResult>, obs::TraceBundle) {
         let mut bundle = obs::TraceBundle::default();
-        let results = self.each_replication(|request| {
-            let (result, traces) = request.run_traced();
-            for (seed, trace) in request.seeds.iter().zip(traces) {
-                bundle.push(&result.strategy, *seed, trace);
-            }
-            result
-        });
+        let results = self
+            .each_replication(|request| {
+                let (result, traces) = request.run_traced();
+                let seeded: Vec<_> = request.seeds.iter().copied().zip(traces).collect();
+                (result, seeded)
+            })
+            .into_iter()
+            .map(|(result, seeded)| {
+                for (seed, trace) in seeded {
+                    bundle.push(&result.strategy, seed, trace);
+                }
+                result
+            })
+            .collect();
         (results, bundle)
     }
 
     /// Validates the scenario, then hands `run` one [`Replication`] per
-    /// strategy, in order.
-    fn each_replication<R>(&self, mut run: impl FnMut(Replication<'_>) -> R) -> Vec<R> {
+    /// strategy, in order. Results keep their strategy's name, except
+    /// that a later strategy with an earlier one's name gets a ` #2`,
+    /// ` #3`, … suffix, so result rows and trace labels tell every run
+    /// apart.
+    fn each_replication<T>(
+        &self,
+        mut run: impl FnMut(Replication<'_>) -> (ReplicatedResult, T),
+    ) -> Vec<(ReplicatedResult, T)> {
         self.validate();
         let seeds: Vec<u64> = (0..self.replications as u64).collect();
         let policies = self.policy_set();
+        let mut names: Vec<String> = Vec::new();
         self.strategies
             .iter()
             .map(|sref| {
                 let (strategy, alloc) = sref.build(self.app.n_active, self.allocated);
-                run(Replication {
+                let (mut result, extra) = run(Replication {
                     jobs: self.jobs,
                     faults: self.faults.as_ref(),
                     policies: policies.as_ref(),
                     ..Replication::new(&self.platform, &self.app, strategy.as_ref(), alloc, &seeds)
-                })
+                });
+                let earlier = names.iter().filter(|n| **n == result.strategy).count();
+                names.push(result.strategy.clone());
+                if earlier > 0 {
+                    result.strategy = format!("{} #{}", result.strategy, earlier + 1);
+                }
+                (result, extra)
             })
             .collect()
     }
@@ -349,6 +372,41 @@ mod tests {
                 ]
             );
             assert!(bundle.event_count() > 0);
+        }
+    }
+
+    #[test]
+    fn strategies_sharing_a_name_get_distinct_results_and_traces() {
+        let mut s = Scenario::template();
+        s.replications = 1;
+        s.app.iterations = 5;
+        let custom = |payback_threshold| StrategyRef::Swap {
+            policy: PolicyParams {
+                payback_threshold,
+                ..PolicyParams::safe()
+            },
+        };
+        for (strategies, names) in [
+            (
+                vec![custom(1.0), custom(3.0)],
+                ["swap(custom)", "swap(custom) #2"],
+            ),
+            (
+                vec![StrategyRef::Nothing, StrategyRef::Nothing],
+                ["nothing", "nothing #2"],
+            ),
+        ] {
+            s.strategies = strategies;
+            let plain: Vec<String> = s.run().into_iter().map(|r| r.strategy).collect();
+            assert_eq!(plain, names);
+            let (results, bundle) = s.run_traced();
+            let labels: Vec<&str> = bundle.runs.iter().map(|r| r.label.as_str()).collect();
+            assert_eq!(labels, names);
+            assert_eq!(results.len(), 2);
+            // The JSONL round trip groups lines by (run, seed), so it
+            // keeps both runs only when their labels differ.
+            let jsonl = obs::jsonl::to_jsonl(&bundle);
+            assert_eq!(obs::jsonl::from_jsonl(&jsonl).unwrap(), bundle);
         }
     }
 

@@ -13,13 +13,20 @@
 //! named by round phase, a `decision compute` slice on the manager
 //! track, and a `link queue` occupancy counter.
 //!
-//! The vendored serde_json has no `json!` macro, so events are built as
-//! explicit [`Value`] trees; `Value::Map` preserves insertion order,
-//! keeping the output byte-deterministic.
+//! Each event is written straight into one pre-sized buffer, field by
+//! field in a fixed order, so the output is byte-deterministic. Numbers
+//! and every string that can need escaping (run labels, collective ops,
+//! policy names, failure details) go through `serde_json`; names built
+//! from static text, integers and enum keys need no escaping and are
+//! written as they are. [`validate_chrome_trace`] checks the result in
+//! one pass over the text, without building a tree.
 
 use crate::event::TraceEvent;
 use crate::trace::TraceBundle;
-use serde::value::{Number, Value};
+use serde::Serialize;
+use std::borrow::Cow;
+use std::fmt;
+use std::io::Write as _;
 
 /// Synthetic tid for the per-run swap-manager track (well above any
 /// plausible host id).
@@ -29,122 +36,199 @@ pub const MANAGER_TID: u64 = 1_000_000;
 /// message slices.
 pub const LINK_TID: u64 = 1_000_001;
 
-fn str_v(v: impl Into<String>) -> Value {
-    Value::Str(v.into())
+/// An event or track name. `Plain` text is built from static text,
+/// integers and enum keys, none of which JSON escapes; `Text` may hold
+/// anything and is escaped by `serde_json`.
+enum Name<'a> {
+    Plain(fmt::Arguments<'a>),
+    Text(&'a str),
 }
 
-fn u64_v(v: u64) -> Value {
-    Value::Num(Number::U64(v))
+/// The Chrome trace under construction. An event is opened by one of
+/// the event methods, may get an `args` object, and ends at [`close`].
+///
+/// [`close`]: Writer::close
+struct Writer {
+    out: Vec<u8>,
 }
 
-fn f64_v(v: f64) -> Value {
-    Value::Num(Number::F64(v))
-}
-
-/// Simulated seconds → trace microseconds.
-fn us(t: f64) -> Value {
-    f64_v(t * 1e6)
-}
-
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Map(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-/// A complete-slice event (`ph: "X"`).
-fn slice(
-    name: String,
-    cat: &str,
-    pid: u64,
-    tid: u64,
-    start: f64,
-    end: f64,
-    args: Option<Value>,
-) -> Value {
-    let mut pairs = vec![
-        ("name", str_v(name)),
-        ("cat", str_v(cat)),
-        ("ph", str_v("X")),
-        ("ts", us(start)),
-        ("dur", us((end - start).max(0.0))),
-        ("pid", u64_v(pid)),
-        ("tid", u64_v(tid)),
-    ];
-    if let Some(a) = args {
-        pairs.push(("args", a));
+impl Writer {
+    fn raw(&mut self, text: &str) {
+        self.out.extend_from_slice(text.as_bytes());
     }
-    obj(pairs)
-}
 
-/// An instant event (`ph: "i"`, thread scope).
-fn instant(name: String, cat: &str, pid: u64, tid: u64, t: f64, args: Option<Value>) -> Value {
-    let mut pairs = vec![
-        ("name", str_v(name)),
-        ("cat", str_v(cat)),
-        ("ph", str_v("i")),
-        ("s", str_v("t")),
-        ("ts", us(t)),
-        ("pid", u64_v(pid)),
-        ("tid", u64_v(tid)),
-    ];
-    if let Some(a) = args {
-        pairs.push(("args", a));
+    fn json<T: Serialize + ?Sized>(&mut self, value: &T) {
+        serde_json::to_writer(&mut self.out, value).expect("a Vec takes every write");
     }
-    obj(pairs)
-}
 
-/// A metadata event naming a process or thread.
-fn metadata(name: &str, pid: u64, tid: u64, value: String) -> Value {
-    obj(vec![
-        ("name", str_v(name)),
-        ("ph", str_v("M")),
-        ("pid", u64_v(pid)),
-        ("tid", u64_v(tid)),
-        ("args", obj(vec![("name", str_v(value))])),
-    ])
-}
-
-/// Flow start/finish pair for a swap arrow between two host tracks.
-fn flow(ph: &str, id: u64, pid: u64, tid: u64, t: f64) -> Value {
-    let mut pairs = vec![
-        ("name", str_v("swap")),
-        ("cat", str_v("swap")),
-        ("ph", str_v(ph)),
-        ("id", u64_v(id)),
-        ("ts", us(t)),
-        ("pid", u64_v(pid)),
-        ("tid", u64_v(tid)),
-    ];
-    if ph == "f" {
-        // Bind to the enclosing slice's end, the conventional terminus.
-        pairs.insert(4, ("bp", str_v("e")));
+    fn name(&mut self, name: Name) {
+        match name {
+            Name::Plain(text) => {
+                self.raw("\"");
+                self.out.write_fmt(text).expect("a Vec takes every write");
+                self.raw("\"");
+            }
+            Name::Text(text) => self.json(text),
+        }
     }
-    obj(pairs)
+
+    /// `"key":`, after a comma unless it is the first key of an object.
+    fn key(&mut self, key: &str) {
+        if self.out.last() != Some(&b'{') {
+            self.raw(",");
+        }
+        self.raw("\"");
+        self.raw(key);
+        self.raw("\":");
+    }
+
+    fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.key(key);
+        self.json(value);
+    }
+
+    /// A field whose value is static text that needs no escaping.
+    fn tag(&mut self, key: &str, value: &str) {
+        self.key(key);
+        self.raw("\"");
+        self.raw(value);
+        self.raw("\"");
+    }
+
+    /// Simulated seconds → trace microseconds.
+    fn us(&mut self, key: &str, t: f64) {
+        self.field(key, &(t * 1e6));
+    }
+
+    /// A nested object under `key`, filled by `fields`.
+    fn object(&mut self, key: &str, fields: impl FnOnce(&mut Self)) {
+        self.key(key);
+        self.raw("{");
+        fields(self);
+        self.raw("}");
+    }
+
+    /// Opens the next event at its first field, the name.
+    fn open(&mut self, name: Name) {
+        if self.out.last() != Some(&b'[') {
+            self.raw(",");
+        }
+        self.raw("{\"name\":");
+        self.name(name);
+    }
+
+    fn close(&mut self) {
+        self.raw("}");
+    }
+
+    /// A complete-slice event (`ph: "X"`).
+    fn slice(&mut self, name: Name, cat: &str, pid: u64, tid: u64, start: f64, end: f64) {
+        self.open(name);
+        self.tag("cat", cat);
+        self.tag("ph", "X");
+        self.us("ts", start);
+        self.us("dur", (end - start).max(0.0));
+        self.field("pid", &pid);
+        self.field("tid", &tid);
+    }
+
+    /// An instant event (`ph: "i"`, thread scope).
+    fn instant(&mut self, name: Name, cat: &str, pid: u64, tid: u64, t: f64) {
+        self.open(name);
+        self.tag("cat", cat);
+        self.tag("ph", "i");
+        self.tag("s", "t");
+        self.us("ts", t);
+        self.field("pid", &pid);
+        self.field("tid", &tid);
+    }
+
+    /// A counter event (`ph: "C"`); its value goes in `args`.
+    fn counter(&mut self, name: Name, cat: &str, pid: u64, t: f64) {
+        self.open(name);
+        self.tag("cat", cat);
+        self.tag("ph", "C");
+        self.us("ts", t);
+        self.field("pid", &pid);
+    }
+
+    /// A complete metadata event naming a process or thread.
+    fn metadata(&mut self, kind: &str, pid: u64, tid: u64, value: Name) {
+        self.open(Name::Plain(format_args!("{kind}")));
+        self.tag("ph", "M");
+        self.field("pid", &pid);
+        self.field("tid", &tid);
+        self.object("args", |w| {
+            w.key("name");
+            w.name(value);
+        });
+        self.close();
+    }
+
+    /// A complete flow start (`s`) or finish (`f`) event for a swap
+    /// arrow between two host tracks.
+    fn flow(&mut self, ph: &str, id: u64, pid: u64, tid: u64, t: f64) {
+        self.open(Name::Plain(format_args!("swap")));
+        self.tag("cat", "swap");
+        self.tag("ph", ph);
+        self.field("id", &id);
+        if ph == "f" {
+            // Bind to the enclosing slice's end, the conventional terminus.
+            self.tag("bp", "e");
+        }
+        self.us("ts", t);
+        self.field("pid", &pid);
+        self.field("tid", &tid);
+        self.close();
+    }
 }
 
 /// Converts a bundle to Chrome trace JSON text.
 pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
-    let mut events: Vec<Value> = Vec::new();
+    // Events average about 120 bytes. The headroom saves regrowing the
+    // buffer, and pages never written cost no memory.
+    let mut w = Writer {
+        out: Vec::with_capacity(160 * bundle.event_count() + 256 * bundle.runs.len() + 64),
+    };
+    w.raw("{\"traceEvents\":[");
     let mut flow_id: u64 = 0;
 
     for (pid, run) in bundle.runs.iter().enumerate() {
         let pid = pid as u64;
-        events.push(metadata(
-            "process_name",
+        let process = format!("{} (seed {})", run.label, run.seed);
+        w.metadata("process_name", pid, 0, Name::Text(&process));
+        w.metadata(
+            "thread_name",
             pid,
-            0,
-            format!("{} (seed {})", run.label, run.seed),
-        ));
-        events.push(metadata("thread_name", pid, MANAGER_TID, "manager".into()));
+            MANAGER_TID,
+            Name::Plain(format_args!("manager")),
+        );
         let mut named_hosts: Vec<u64> = Vec::new();
-        let mut host_track = |host: u64, events: &mut Vec<Value>| {
+        let mut host_track = |host: u64, w: &mut Writer| {
             if !named_hosts.contains(&host) {
                 named_hosts.push(host);
-                events.push(metadata("thread_name", pid, host, format!("host {host}")));
+                w.metadata(
+                    "thread_name",
+                    pid,
+                    host,
+                    Name::Plain(format_args!("host {host}")),
+                );
             }
         };
         // The shared-link track is named lazily, on the first protocol
-        // message, so non-protocol runs carry no extra metadata.
+        // message or link fault, so other runs carry no extra metadata.
         let mut link_named = false;
+        let mut link_track = |w: &mut Writer| {
+            if !link_named {
+                link_named = true;
+                w.metadata(
+                    "thread_name",
+                    pid,
+                    LINK_TID,
+                    Name::Plain(format_args!("link")),
+                );
+            }
+        };
 
         for e in &run.trace.events {
             match e {
@@ -156,52 +240,33 @@ pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
                     end,
                 } => {
                     let host = *host as u64;
-                    host_track(host, &mut events);
-                    events.push(slice(
-                        format!("iter {iter}"),
-                        "compute",
-                        pid,
-                        host,
-                        *start,
-                        *end,
-                        None,
-                    ));
+                    host_track(host, &mut w);
+                    let name = Name::Plain(format_args!("iter {iter}"));
+                    w.slice(name, "compute", pid, host, *start, *end);
+                    w.close();
                 }
                 TraceEvent::IterEnd {
                     t,
                     iter,
                     compute_end,
                 } => {
-                    events.push(instant(
-                        format!("iter {iter} end"),
-                        "iteration",
-                        pid,
-                        MANAGER_TID,
-                        *t,
-                        Some(obj(vec![("compute_end", f64_v(*compute_end))])),
-                    ));
+                    let name = Name::Plain(format_args!("iter {iter} end"));
+                    w.instant(name, "iteration", pid, MANAGER_TID, *t);
+                    w.object("args", |w| w.field("compute_end", compute_end));
+                    w.close();
                 }
                 TraceEvent::Probe { t, host, rate } => {
                     let host = *host as u64;
-                    host_track(host, &mut events);
-                    events.push(instant(
-                        "probe".into(),
-                        "probe",
-                        pid,
-                        host,
-                        *t,
-                        Some(obj(vec![("rate", f64_v(*rate))])),
-                    ));
+                    host_track(host, &mut w);
+                    w.instant(Name::Plain(format_args!("probe")), "probe", pid, host, *t);
+                    w.object("args", |w| w.field("rate", rate));
+                    w.close();
                 }
                 TraceEvent::LoadChange { t, host, competing } => {
-                    events.push(obj(vec![
-                        ("name", str_v(format!("load host {host}"))),
-                        ("cat", str_v("load")),
-                        ("ph", str_v("C")),
-                        ("ts", us(*t)),
-                        ("pid", u64_v(pid)),
-                        ("args", obj(vec![("competing", f64_v(*competing))])),
-                    ]));
+                    let name = Name::Plain(format_args!("load host {host}"));
+                    w.counter(name, "load", pid, *t);
+                    w.object("args", |w| w.field("competing", competing));
+                    w.close();
                 }
                 TraceEvent::SwapDecision {
                     t,
@@ -213,34 +278,26 @@ pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
                     admitted,
                     rejected,
                 } => {
-                    let mut args = vec![
-                        ("old_iter_time", f64_v(*old_iter_time)),
-                        ("swap_time", f64_v(*swap_time)),
-                        ("app_improvement", f64_v(*app_improvement)),
-                        ("stopped_because", str_v(stopped_because.key())),
-                        ("admitted", u64_v(admitted.len() as u64)),
-                    ];
-                    if let Some(r) = rejected {
-                        args.push((
-                            "rejected",
-                            obj(vec![
-                                ("from", u64_v(r.from as u64)),
-                                ("to", u64_v(r.to as u64)),
-                                ("old_perf", f64_v(r.old_perf)),
-                                ("new_perf", f64_v(r.new_perf)),
-                                ("payback", r.payback.map(f64_v).unwrap_or(Value::Null)),
-                            ]),
-                        ));
-                    }
                     let verb = if admitted.is_empty() { "hold" } else { "swap" };
-                    events.push(instant(
-                        format!("decision iter {iter}: {verb}"),
-                        "decision",
-                        pid,
-                        MANAGER_TID,
-                        *t,
-                        Some(obj(args)),
-                    ));
+                    let name = Name::Plain(format_args!("decision iter {iter}: {verb}"));
+                    w.instant(name, "decision", pid, MANAGER_TID, *t);
+                    w.object("args", |w| {
+                        w.field("old_iter_time", old_iter_time);
+                        w.field("swap_time", swap_time);
+                        w.field("app_improvement", app_improvement);
+                        w.tag("stopped_because", stopped_because.key());
+                        w.field("admitted", &admitted.len());
+                        if let Some(r) = rejected {
+                            w.object("rejected", |w| {
+                                w.field("from", &r.from);
+                                w.field("to", &r.to);
+                                w.field("old_perf", &r.old_perf);
+                                w.field("new_perf", &r.new_perf);
+                                w.field("payback", &r.payback);
+                            });
+                        }
+                    });
+                    w.close();
                 }
                 TraceEvent::SwapExec {
                     t,
@@ -251,22 +308,18 @@ pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
                     transfer_secs,
                 } => {
                     let (from_t, to_t) = (*from as u64, *to as u64);
-                    host_track(from_t, &mut events);
-                    host_track(to_t, &mut events);
-                    events.push(slice(
-                        format!("swap {from}->{to}"),
-                        "swap",
-                        pid,
-                        MANAGER_TID,
-                        *t,
-                        *t + *transfer_secs,
-                        Some(obj(vec![
-                            ("iter", u64_v(*iter as u64)),
-                            ("bytes", f64_v(*bytes)),
-                        ])),
-                    ));
-                    events.push(flow("s", flow_id, pid, from_t, *t));
-                    events.push(flow("f", flow_id, pid, to_t, *t + *transfer_secs));
+                    host_track(from_t, &mut w);
+                    host_track(to_t, &mut w);
+                    let end = *t + *transfer_secs;
+                    let name = Name::Plain(format_args!("swap {from}->{to}"));
+                    w.slice(name, "swap", pid, MANAGER_TID, *t, end);
+                    w.object("args", |w| {
+                        w.field("iter", iter);
+                        w.field("bytes", bytes);
+                    });
+                    w.close();
+                    w.flow("s", flow_id, pid, from_t, *t);
+                    w.flow("f", flow_id, pid, to_t, end);
                     flow_id += 1;
                 }
                 TraceEvent::Checkpoint {
@@ -275,15 +328,10 @@ pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
                     bytes,
                     pause_secs,
                 } => {
-                    events.push(slice(
-                        format!("checkpoint iter {iter}"),
-                        "checkpoint",
-                        pid,
-                        MANAGER_TID,
-                        *t,
-                        *t + *pause_secs,
-                        Some(obj(vec![("bytes", f64_v(*bytes))])),
-                    ));
+                    let name = Name::Plain(format_args!("checkpoint iter {iter}"));
+                    w.slice(name, "checkpoint", pid, MANAGER_TID, *t, *t + *pause_secs);
+                    w.object("args", |w| w.field("bytes", bytes));
+                    w.close();
                 }
                 TraceEvent::MsgSend {
                     t,
@@ -293,15 +341,11 @@ pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
                     bytes,
                 } => {
                     let from_t = *from as u64;
-                    host_track(from_t, &mut events);
-                    events.push(instant(
-                        format!("send tag {tag} -> {to}"),
-                        "msg",
-                        pid,
-                        from_t,
-                        *t,
-                        Some(obj(vec![("bytes", u64_v(*bytes as u64))])),
-                    ));
+                    host_track(from_t, &mut w);
+                    let name = Name::Plain(format_args!("send tag {tag} -> {to}"));
+                    w.instant(name, "msg", pid, from_t, *t);
+                    w.object("args", |w| w.field("bytes", bytes));
+                    w.close();
                 }
                 TraceEvent::MsgRecv {
                     t0,
@@ -312,21 +356,17 @@ pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
                     bytes,
                 } => {
                     let to_t = *to as u64;
-                    host_track(to_t, &mut events);
-                    events.push(slice(
-                        format!("recv tag {tag} <- {from}"),
-                        "msg",
-                        pid,
-                        to_t,
-                        *t0,
-                        *t1,
-                        Some(obj(vec![("bytes", u64_v(*bytes as u64))])),
-                    ));
+                    host_track(to_t, &mut w);
+                    let name = Name::Plain(format_args!("recv tag {tag} <- {from}"));
+                    w.slice(name, "msg", pid, to_t, *t0, *t1);
+                    w.object("args", |w| w.field("bytes", bytes));
+                    w.close();
                 }
                 TraceEvent::Collective { t0, t1, slot, op } => {
                     let slot_t = *slot as u64;
-                    host_track(slot_t, &mut events);
-                    events.push(slice(op.clone(), "collective", pid, slot_t, *t0, *t1, None));
+                    host_track(slot_t, &mut w);
+                    w.slice(Name::Text(op), "collective", pid, slot_t, *t0, *t1);
+                    w.close();
                 }
                 TraceEvent::ProtocolMsg {
                     queued,
@@ -335,44 +375,25 @@ pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
                     step,
                     bytes,
                 } => {
-                    if !link_named {
-                        link_named = true;
-                        events.push(metadata("thread_name", pid, LINK_TID, "link".into()));
-                    }
-                    events.push(slice(
-                        step.key().to_string(),
-                        "protocol",
-                        pid,
-                        LINK_TID,
-                        *start,
-                        *end,
-                        Some(obj(vec![
-                            ("queued", f64_v(*queued)),
-                            ("queue_wait", f64_v(start - queued)),
-                            ("bytes", f64_v(*bytes)),
-                        ])),
-                    ));
+                    link_track(&mut w);
+                    let name = Name::Plain(format_args!("{}", step.key()));
+                    w.slice(name, "protocol", pid, LINK_TID, *start, *end);
+                    w.object("args", |w| {
+                        w.field("queued", queued);
+                        w.field("queue_wait", &(start - queued));
+                        w.field("bytes", bytes);
+                    });
+                    w.close();
                 }
                 TraceEvent::ProtocolCompute { t0, t1 } => {
-                    events.push(slice(
-                        "decision compute".into(),
-                        "protocol",
-                        pid,
-                        MANAGER_TID,
-                        *t0,
-                        *t1,
-                        None,
-                    ));
+                    let name = Name::Plain(format_args!("decision compute"));
+                    w.slice(name, "protocol", pid, MANAGER_TID, *t0, *t1);
+                    w.close();
                 }
                 TraceEvent::ProtocolQueueDepth { t, depth } => {
-                    events.push(obj(vec![
-                        ("name", str_v("link queue")),
-                        ("cat", str_v("protocol")),
-                        ("ph", str_v("C")),
-                        ("ts", us(*t)),
-                        ("pid", u64_v(pid)),
-                        ("args", obj(vec![("depth", u64_v(*depth as u64))])),
-                    ]));
+                    w.counter(Name::Plain(format_args!("link queue")), "protocol", pid, *t);
+                    w.object("args", |w| w.field("depth", depth));
+                    w.close();
                 }
                 TraceEvent::FaultInjected {
                     t,
@@ -386,48 +407,31 @@ pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
                     let tid = match host {
                         Some(h) => {
                             let h = *h as u64;
-                            host_track(h, &mut events);
+                            host_track(h, &mut w);
                             h
                         }
                         None => {
-                            if !link_named {
-                                link_named = true;
-                                events.push(metadata("thread_name", pid, LINK_TID, "link".into()));
-                            }
+                            link_track(&mut w);
                             LINK_TID
                         }
                     };
-                    let mut args = vec![(
-                        "duration_secs",
-                        duration_secs.map(f64_v).unwrap_or(Value::Null),
-                    )];
-                    if let Some(f) = factor {
-                        args.push(("factor", f64_v(*f)));
-                    }
+                    let name = Name::Plain(format_args!("fault: {}", fault.key()));
                     match duration_secs {
                         // Bounded faults (blackouts, degraded windows)
                         // draw as slices so the outage span is visible
                         // under the compute it stalls.
-                        Some(d) => events.push(slice(
-                            format!("fault: {}", fault.key()),
-                            "fault",
-                            pid,
-                            tid,
-                            *t,
-                            *t + *d,
-                            Some(obj(args)),
-                        )),
+                        Some(d) => w.slice(name, "fault", pid, tid, *t, *t + *d),
                         // A permanent crash is an instant — the track
                         // simply goes quiet afterwards.
-                        None => events.push(instant(
-                            format!("fault: {}", fault.key()),
-                            "fault",
-                            pid,
-                            tid,
-                            *t,
-                            Some(obj(args)),
-                        )),
+                        None => w.instant(name, "fault", pid, tid, *t),
                     }
+                    w.object("args", |w| {
+                        w.field("duration_secs", duration_secs);
+                        if let Some(f) = factor {
+                            w.field("factor", f);
+                        }
+                    });
+                    w.close();
                 }
                 TraceEvent::FailureDetected {
                     t,
@@ -437,22 +441,19 @@ pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
                     detail,
                 } => {
                     let h = *host as u64;
-                    host_track(h, &mut events);
-                    let mut args = vec![("cause", str_v(cause.key()))];
-                    if let Some(i) = iter {
-                        args.push(("iter", u64_v(*i as u64)));
-                    }
-                    if let Some(d) = detail {
-                        args.push(("detail", str_v(d.clone())));
-                    }
-                    events.push(instant(
-                        format!("failure: {}", cause.key()),
-                        "fault",
-                        pid,
-                        h,
-                        *t,
-                        Some(obj(args)),
-                    ));
+                    host_track(h, &mut w);
+                    let name = Name::Plain(format_args!("failure: {}", cause.key()));
+                    w.instant(name, "fault", pid, h, *t);
+                    w.object("args", |w| {
+                        w.tag("cause", cause.key());
+                        if let Some(i) = iter {
+                            w.field("iter", i);
+                        }
+                        if let Some(d) = detail {
+                            w.field("detail", d);
+                        }
+                    });
+                    w.close();
                 }
                 TraceEvent::RecoveryComplete {
                     t,
@@ -461,28 +462,26 @@ pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
                     action,
                     pause_secs,
                 } => {
-                    let mut args = vec![
-                        ("host", u64_v(*host as u64)),
-                        (
-                            "replacement",
-                            replacement.map(|r| u64_v(r as u64)).unwrap_or(Value::Null),
-                        ),
-                    ];
-                    args.push(("action", str_v(action.key())));
                     // `t` is the completion time; the slice spans the
                     // pause leading up to it.
-                    events.push(slice(
-                        match replacement {
-                            Some(r) => format!("recovery {host}->{r} ({})", action.key()),
-                            None => format!("recovery host {host} ({})", action.key()),
-                        },
-                        "fault",
-                        pid,
-                        MANAGER_TID,
-                        (*t - *pause_secs).max(0.0),
-                        *t,
-                        Some(obj(args)),
-                    ));
+                    let start = (*t - *pause_secs).max(0.0);
+                    let action = action.key();
+                    match replacement {
+                        Some(r) => {
+                            let name = Name::Plain(format_args!("recovery {host}->{r} ({action})"));
+                            w.slice(name, "fault", pid, MANAGER_TID, start, *t);
+                        }
+                        None => {
+                            let name = Name::Plain(format_args!("recovery host {host} ({action})"));
+                            w.slice(name, "fault", pid, MANAGER_TID, start, *t);
+                        }
+                    }
+                    w.object("args", |w| {
+                        w.field("host", host);
+                        w.field("replacement", replacement);
+                        w.tag("action", action);
+                    });
+                    w.close();
                 }
                 TraceEvent::PolicyDecision {
                     t,
@@ -491,74 +490,344 @@ pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
                     chosen,
                     ranked,
                 } => {
-                    let args = vec![
-                        ("policy", str_v(policy.clone())),
-                        ("failed", u64_v(*failed as u64)),
-                        (
-                            "chosen",
-                            chosen.map(|c| u64_v(c as u64)).unwrap_or(Value::Null),
-                        ),
-                        (
-                            "ranked",
-                            Value::Seq(ranked.iter().map(|&h| u64_v(h as u64)).collect()),
-                        ),
-                    ];
-                    events.push(instant(
-                        format!("placement: {policy}"),
-                        "policy",
-                        pid,
-                        MANAGER_TID,
-                        *t,
-                        Some(obj(args)),
-                    ));
+                    let name = format!("placement: {policy}");
+                    w.instant(Name::Text(&name), "policy", pid, MANAGER_TID, *t);
+                    w.object("args", |w| {
+                        w.field("policy", policy);
+                        w.field("failed", failed);
+                        w.field("chosen", chosen);
+                        w.field("ranked", ranked);
+                    });
+                    w.close();
                 }
             }
         }
     }
 
-    let root = obj(vec![
-        ("traceEvents", Value::Seq(events)),
-        ("displayTimeUnit", str_v("ms")),
-    ]);
-    serde_json::to_string(&root).expect("chrome trace serializes")
+    w.raw("],\"displayTimeUnit\":\"ms\"}");
+    String::from_utf8(w.out).expect("serde_json and the static text write UTF-8")
 }
 
-/// Structural validation of Chrome trace JSON: parses the text, checks
-/// the `traceEvents` array, and that every event carries the fields the
-/// format requires (`ph`/`pid`/`name`, `ts` for non-metadata phases).
-/// Returns the event count.
+/// Structural validation of Chrome trace JSON: checks that the text is
+/// JSON with a `traceEvents` array, and that every event carries the
+/// fields the format requires (`ph`/`pid`/`name`, `ts` for non-metadata
+/// phases). Returns the event count.
+///
+/// One pass over the text, building no tree, with the verdicts of a
+/// parse followed by a walk of the parsed tree: keys and `ph` compare
+/// after unescaping, the first occurrence of a duplicated key wins, and
+/// a syntax error anywhere outranks the first format error.
 pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
-    let root: Value = serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    let Value::Map(fields) = root else {
-        return Err("top level is not an object".into());
-    };
-    let events = fields
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
-        .ok_or("missing traceEvents")?;
-    let Value::Seq(events) = events else {
-        return Err("traceEvents is not an array".into());
-    };
-    for (i, e) in events.iter().enumerate() {
-        let Value::Map(fields) = e else {
-            return Err(format!("event {i} is not an object"));
+    Scanner { text, pos: 0 }
+        .document()
+        .map_err(|e| format!("not JSON: {e}"))?
+}
+
+/// What a scanned value was, as far as the format check cares.
+enum Kind<'a> {
+    Str(Cow<'a, str>),
+    Num,
+    Other,
+}
+
+/// A forward-only JSON checker with `serde_json::from_str`'s grammar
+/// and error messages. Its methods return `Err` for a syntax error.
+struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    /// The whole text, returning the format check's verdict.
+    fn document(&mut self) -> Result<Result<usize, String>, String> {
+        self.ws();
+        let verdict = if self.peek() == Some(b'{') {
+            // The verdict on the first `traceEvents` value, once seen.
+            let mut events: Option<Result<usize, String>> = None;
+            self.object(|s, key| {
+                if key != "traceEvents" || events.is_some() {
+                    return s.value().map(drop);
+                }
+                events = Some(if s.peek() == Some(b'[') {
+                    let (mut count, mut first_error) = (0, None);
+                    s.array(|s| {
+                        let error = s.event(count)?;
+                        first_error = first_error.take().or(error);
+                        count += 1;
+                        Ok(())
+                    })?;
+                    first_error.map_or(Ok(count), Err)
+                } else {
+                    s.value()?;
+                    Err("traceEvents is not an array".into())
+                });
+                Ok(())
+            })?;
+            events.unwrap_or_else(|| Err("missing traceEvents".into()))
+        } else {
+            self.value()?;
+            Err("top level is not an object".into())
         };
-        let get = |k: &str| fields.iter().find(|(f, _)| f == k).map(|(_, v)| v);
-        let ph = match get("ph") {
-            Some(Value::Str(s)) if !s.is_empty() => s.clone(),
-            _ => return Err(format!("event {i} has no ph")),
+        self.ws();
+        if self.pos != self.text.len() {
+            return Err(format!("trailing characters at byte {}", self.pos));
+        }
+        Ok(verdict)
+    }
+
+    /// Event `i`, returning what the format check finds wrong with it.
+    fn event(&mut self, i: usize) -> Result<Option<String>, String> {
+        if self.peek() != Some(b'{') {
+            self.value()?;
+            return Ok(Some(format!("event {i} is not an object")));
+        }
+        let (mut ph, mut name, mut pid, mut ts) = (None, false, false, None);
+        self.object(|s, key| {
+            let value = s.value()?;
+            match &*key {
+                "ph" if ph.is_none() => ph = Some(value),
+                "name" => name = true,
+                "pid" => pid = true,
+                "ts" if ts.is_none() => ts = Some(matches!(value, Kind::Num)),
+                _ => {}
+            }
+            Ok(())
+        })?;
+        let ph = match ph {
+            Some(Kind::Str(ph)) if !ph.is_empty() => ph,
+            _ => return Ok(Some(format!("event {i} has no ph"))),
         };
-        for key in ["name", "pid"] {
-            if get(key).is_none() {
-                return Err(format!("event {i} ({ph}) missing {key}"));
+        for (key, present) in [("name", name), ("pid", pid)] {
+            if !present {
+                return Ok(Some(format!("event {i} ({ph}) missing {key}")));
             }
         }
-        if ph != "M" && !matches!(get("ts"), Some(Value::Num(_))) {
-            return Err(format!("event {i} ({ph}) missing numeric ts"));
+        if ph != "M" && ts != Some(true) {
+            return Ok(Some(format!("event {i} ({ph}) missing numeric ts")));
+        }
+        Ok(None)
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn bump(&mut self) -> Result<u8, String> {
+        let b = self.peek().ok_or("unexpected end of input")?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    fn ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
-    Ok(events.len())
+
+    fn expect(&mut self, want: u8) -> Result<(), String> {
+        let got = self.bump()?;
+        if got != want {
+            return Err(format!(
+                "expected `{}` at byte {}, found `{}`",
+                want as char,
+                self.pos - 1,
+                got as char
+            ));
+        }
+        Ok(())
+    }
+
+    fn value(&mut self) -> Result<Kind<'a>, String> {
+        match self.peek() {
+            Some(b'n') => self.literal("null"),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'"') => Ok(Kind::Str(self.string()?)),
+            Some(b'[') => self.array(|s| s.value().map(drop)).map(|()| Kind::Other),
+            Some(b'{') => self
+                .object(|s, _| s.value().map(drop))
+                .map(|()| Kind::Other),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(c) => Err(format!(
+                "unexpected character `{}` at byte {}",
+                c as char, self.pos
+            )),
+            None => Err("unexpected end of input".into()),
+        }
+    }
+
+    fn literal(&mut self, text: &str) -> Result<Kind<'a>, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
+            self.pos += text.len();
+            Ok(Kind::Other)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    /// An array; `item` scans each element.
+    fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(b'[')?;
+        self.ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.ws();
+            item(self)?;
+            self.ws();
+            match self.bump()? {
+                b',' => continue,
+                b']' => return Ok(()),
+                other => {
+                    return Err(format!(
+                        "expected `,` or `]` at byte {}, found `{}`",
+                        self.pos - 1,
+                        other as char
+                    ))
+                }
+            }
+        }
+    }
+
+    /// An object; `field` gets each unescaped key and scans its value.
+    fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(b'{')?;
+        self.ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.ws();
+            let key = self.string()?;
+            self.ws();
+            self.expect(b':')?;
+            self.ws();
+            field(self, key)?;
+            self.ws();
+            match self.bump()? {
+                b',' => continue,
+                b'}' => return Ok(()),
+                other => {
+                    return Err(format!(
+                        "expected `,` or `}}` at byte {}, found `{}`",
+                        self.pos - 1,
+                        other as char
+                    ))
+                }
+            }
+        }
+    }
+
+    /// A string, unescaped; it borrows the text unless it holds escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let mut unescaped: Option<String> = None;
+        loop {
+            let start = self.pos;
+            while let Some(b) = self.peek() {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            // The run stops at an ASCII byte or the end: a char boundary.
+            let run = &self.text[start..self.pos];
+            match self.bump()? {
+                b'"' => {
+                    return Ok(match unescaped {
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
+                        }
+                        None => Cow::Borrowed(run),
+                    })
+                }
+                b'\\' => {
+                    let c = self.escape()?;
+                    let s = unescaped.get_or_insert_with(String::new);
+                    s.push_str(run);
+                    s.push(c);
+                }
+                other => {
+                    return Err(format!(
+                        "unescaped control character 0x{other:02x} in string"
+                    ))
+                }
+            }
+        }
+    }
+
+    /// The character an escape after `\` stands for.
+    fn escape(&mut self) -> Result<char, String> {
+        Ok(match self.bump()? {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hi = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair.
+                    self.expect(b'\\')?;
+                    self.expect(b'u')?;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err("invalid low surrogate".into());
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                char::from_u32(code).ok_or("invalid unicode escape")?
+            }
+            other => return Err(format!("invalid escape `\\{}`", other as char)),
+        })
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut v = 0;
+        for _ in 0..4 {
+            let d = (self.bump()? as char)
+                .to_digit(16)
+                .ok_or("invalid hex digit in unicode escape")?;
+            v = v * 16 + d;
+        }
+        Ok(v)
+    }
+
+    /// A number: the longest run of number characters, valid when
+    /// `str::parse::<f64>` accepts it (as every integer the parser's
+    /// integer path takes is).
+    fn number(&mut self) -> Result<Kind<'a>, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        match text.parse::<f64>() {
+            Ok(_) => Ok(Kind::Num),
+            Err(_) => Err(format!("invalid number `{text}`")),
+        }
+    }
 }
 
 #[cfg(test)]

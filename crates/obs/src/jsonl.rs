@@ -1,6 +1,8 @@
 //! JSONL export: one event per line, each wrapped with its run label
-//! and seed. This is the stable machine-readable trace format — the
-//! determinism tests pin its exact bytes.
+//! and seed. This is the stable machine-readable trace format; the
+//! golden files `tests/golden/all_events.jsonl` and
+//! `tests/golden/all_events.chrome.json` pin the exact bytes of both
+//! exporters.
 
 use crate::event::TraceEvent;
 use crate::trace::{Trace, TraceBundle};
@@ -15,26 +17,35 @@ pub struct Record {
 }
 
 /// Serializes a bundle to JSONL (trailing newline included when there
-/// is at least one event).
+/// is at least one event). Each line is a [`Record`]: every line of a
+/// run starts with the same `{"run":…,"seed":…,"event":` prefix, written
+/// once per run, and the borrowed event follows it.
 pub fn to_jsonl(bundle: &TraceBundle) -> String {
-    let mut out = String::new();
+    // Lines average about 120 bytes. The headroom saves regrowing the
+    // buffer, and pages never written cost no memory.
+    let mut out = Vec::with_capacity(160 * bundle.event_count());
+    let mut prefix = Vec::new();
     for run in &bundle.runs {
+        prefix.clear();
+        prefix.extend_from_slice(b"{\"run\":");
+        serde_json::to_writer(&mut prefix, &run.label).expect("a Vec takes every write");
+        prefix.extend_from_slice(b",\"seed\":");
+        serde_json::to_writer(&mut prefix, &run.seed).expect("a Vec takes every write");
+        prefix.extend_from_slice(b",\"event\":");
         for event in &run.trace.events {
-            let record = Record {
-                run: run.label.clone(),
-                seed: run.seed,
-                event: event.clone(),
-            };
-            out.push_str(&serde_json::to_string(&record).expect("trace events serialize"));
-            out.push('\n');
+            out.extend_from_slice(&prefix);
+            serde_json::to_writer(&mut out, event).expect("trace events serialize");
+            out.extend_from_slice(b"}\n");
         }
     }
-    out
+    String::from_utf8(out).expect("serde_json and the static text write UTF-8")
 }
 
-/// Parses JSONL produced by [`to_jsonl`] back into a bundle, grouping
-/// consecutive lines with the same (run, seed). Returns an error string
-/// naming the first malformed line.
+/// Parses JSONL produced by [`to_jsonl`] back into a bundle. Adjacent
+/// lines with the same (run, seed) belong to one run, so two runs that
+/// share both label and seed must not be adjacent or they merge into
+/// one; a run with no events leaves no line and does not come back.
+/// Returns an error string naming the first malformed line.
 pub fn from_jsonl(text: &str) -> Result<TraceBundle, String> {
     let mut bundle = TraceBundle::new();
     for (i, line) in text.lines().enumerate() {

@@ -25,6 +25,8 @@ pub mod chrome;
 pub mod event;
 pub mod jsonl;
 pub mod metrics;
+#[cfg(test)]
+mod reference;
 pub mod sink;
 pub mod trace;
 
