@@ -99,6 +99,20 @@ impl HyperExpWorkload {
     /// uniform random distribution". To avoid an empty-start bias, processes
     /// that would already be running at `t = 0` in steady state are seeded
     /// with residual lifetimes.
+    ///
+    /// Only the arrivals stop at `horizon`. Every competitor runs out its
+    /// whole lifetime, so the trace keeps changing after the horizon until
+    /// the last one ends, and is 0 from then on:
+    ///
+    /// ```
+    /// use loadmodel::{DegenerateHyperExp, HyperExpWorkload};
+    /// use simkit::rng::rng;
+    ///
+    /// let w = HyperExpWorkload::new(DegenerateHyperExp::new(5000.0, 0.4), 1.0 / 600.0);
+    /// let trace = w.generate(1000.0, &mut rng(3));
+    /// assert!(trace.counts().last_change() > 60_000.0);
+    /// assert_eq!(trace.counts().tail_value(), 0.0);
+    /// ```
     pub fn generate<R: Rng + ?Sized>(&self, horizon: f64, rng: &mut R) -> LoadTrace {
         assert!(horizon > 0.0 && horizon.is_finite());
         let mut intervals: Vec<(f64, f64)> = Vec::new();

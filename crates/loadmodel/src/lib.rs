@@ -25,6 +25,8 @@
 pub mod hyperexp;
 pub mod onoff;
 pub mod pareto;
+#[cfg(test)]
+mod reference;
 pub mod replay;
 pub mod stats;
 pub mod trace;

@@ -115,7 +115,10 @@ impl ParetoWorkload {
     /// arrivals plus a steady-state seed at `t = 0` — the live competitor
     /// count is Poisson(λ·E\[L\]) and each live process carries a residual
     /// lifetime sampled exactly (length-biased total × uniform position,
-    /// the inspection-paradox construction).
+    /// the inspection-paradox construction). As in
+    /// [`HyperExpWorkload::generate`](crate::HyperExpWorkload::generate),
+    /// only the arrivals stop at `horizon`; each competitor runs out its
+    /// lifetime after it.
     pub fn generate<R: Rng + ?Sized>(&self, horizon: f64, rng: &mut R) -> LoadTrace {
         assert!(horizon > 0.0 && horizon.is_finite());
         let n = poisson_count(self.arrival_rate * horizon, rng);

@@ -34,7 +34,8 @@ impl LoadTrace {
     /// `end <= start` are ignored.
     pub fn from_intervals<I: IntoIterator<Item = (f64, f64)>>(intervals: I) -> Self {
         // Sweep line over +1/-1 deltas.
-        let mut deltas: Vec<(f64, i64)> = Vec::new();
+        let intervals = intervals.into_iter();
+        let mut deltas: Vec<(f64, i64)> = Vec::with_capacity(2 * intervals.size_hint().0);
         for (start, end) in intervals {
             assert!(
                 start.is_finite() && end.is_finite() && start >= 0.0,
@@ -46,34 +47,32 @@ impl LoadTrace {
             deltas.push((start, 1));
             deltas.push((end, -1));
         }
-        if deltas.is_empty() {
-            return LoadTrace::unloaded();
-        }
-        deltas.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut points: Vec<(f64, f64)> = vec![(0.0, 0.0)];
+        // The deltas at one instant (`==`, so 0.0 and -0.0 too) are summed
+        // as a group before the count is written, so their order inside a
+        // tie cannot change a count and the sort need not be stable.
+        deltas.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut counts = Timeline::constant(0.0);
         let mut count: i64 = 0;
-        let mut i = 0;
-        while i < deltas.len() {
-            let t = deltas[i].0;
-            while i < deltas.len() && deltas[i].0 == t {
-                count += deltas[i].1;
-                i += 1;
-            }
-            debug_assert!(count >= 0);
+        for group in deltas.chunk_by(|a, b| a.0 == b.0) {
+            count += group.iter().map(|&(_, d)| d).sum::<i64>();
+            let (t, k) = (group[0].0, count as f64);
             if t == 0.0 {
-                points[0].1 = count as f64;
+                counts = Timeline::constant(k);
             } else {
-                points.push((t, count as f64));
+                counts.push(t, k);
             }
         }
-        LoadTrace {
-            counts: Timeline::from_points(points),
-        }
+        LoadTrace { counts }
     }
 
     /// The competing-process count as a timeline.
     pub fn counts(&self) -> &Timeline {
         &self.counts
+    }
+
+    /// The competing-process count timeline, moved out of the trace.
+    pub fn into_counts(self) -> Timeline {
+        self.counts
     }
 
     /// The count at instant `t`.

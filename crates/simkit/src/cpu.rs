@@ -23,14 +23,16 @@ pub struct Cpu {
 impl Cpu {
     /// Creates a CPU with `speed` flop/s peak and the given competing-load
     /// timeline (values are process *counts*, usually small integers).
+    /// Both timelines the CPU keeps are stored at exact size.
     ///
     /// # Panics
     /// Panics if `speed` is not strictly positive and finite.
-    pub fn new(speed: f64, load: Timeline) -> Self {
+    pub fn new(speed: f64, mut load: Timeline) -> Self {
         assert!(
             speed.is_finite() && speed > 0.0,
             "CPU speed must be positive, got {speed}"
         );
+        load.shrink_to_fit();
         let availability = load.map(|k| 1.0 / (1.0 + k));
         Cpu {
             speed,
@@ -138,6 +140,18 @@ mod tests {
     fn multiple_competitors_follow_fair_share() {
         let cpu = Cpu::new(3e8, Timeline::constant(2.0));
         assert_eq!(cpu.delivered_speed_at(0.0), 1e8);
+    }
+
+    #[test]
+    fn both_timelines_are_stored_at_exact_size() {
+        let mut load = Timeline::constant(0.0);
+        for i in 1..=5 {
+            load.push(i as f64, (i % 2) as f64);
+        }
+        let cpu = Cpu::new(1e8, load);
+        assert_eq!(cpu.load().points().len(), 6);
+        assert_eq!(cpu.load().capacity(), 6);
+        assert_eq!(cpu.availability().capacity(), 6);
     }
 
     #[test]

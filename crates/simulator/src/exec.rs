@@ -372,8 +372,8 @@ mod tests {
         let loaded = LoadTrace::from_intervals([(0.0, 1e6)]);
         let p = Platform {
             hosts: vec![
-                Host::new(1e8, &LoadTrace::unloaded()),
-                Host::new(1e8, &loaded), // delivers 5e7
+                Host::new(1e8, LoadTrace::unloaded()),
+                Host::new(1e8, loaded), // delivers 5e7
             ],
             link: SharedLink::new(0.0, 6e6),
             startup_per_process: 0.75,
@@ -396,7 +396,7 @@ mod tests {
         // Load arrives at t=5 on host 0: first 5 s at 1e8, then 5e7.
         let loaded = LoadTrace::from_intervals([(5.0, 1e6)]);
         let p = Platform {
-            hosts: vec![Host::new(1e8, &loaded)],
+            hosts: vec![Host::new(1e8, loaded)],
             link: SharedLink::new(0.0, 6e6),
             startup_per_process: 0.75,
         };
@@ -411,7 +411,7 @@ mod tests {
     fn probe_reports_windowed_mean() {
         let loaded = LoadTrace::from_intervals([(0.0, 10.0)]);
         let p = Platform {
-            hosts: vec![Host::new(1e8, &loaded)],
+            hosts: vec![Host::new(1e8, loaded)],
             link: SharedLink::new(0.0, 6e6),
             startup_per_process: 0.75,
         };
@@ -435,8 +435,8 @@ mod tests {
         let loaded = LoadTrace::from_intervals([(0.0, 1e6)]);
         let p = Platform {
             hosts: vec![
-                Host::new(1e8, &LoadTrace::unloaded()),
-                Host::new(1e8, &loaded),
+                Host::new(1e8, LoadTrace::unloaded()),
+                Host::new(1e8, loaded),
             ],
             link: SharedLink::new(0.0, 6e6),
             startup_per_process: 0.75,
@@ -461,8 +461,8 @@ mod tests {
         let loaded = LoadTrace::from_intervals([(0.0, 1e6)]);
         let p = Platform {
             hosts: vec![
-                Host::new(1e8, &LoadTrace::unloaded()),
-                Host::new(1e8, &loaded),
+                Host::new(1e8, LoadTrace::unloaded()),
+                Host::new(1e8, loaded),
             ],
             link: SharedLink::new(0.0, 6e6),
             startup_per_process: 0.75,
@@ -489,7 +489,7 @@ mod tests {
     fn iteration_starting_late_uses_timeline_from_t0() {
         let loaded = LoadTrace::from_intervals([(0.0, 10.0)]);
         let p = Platform {
-            hosts: vec![Host::new(1e8, &loaded)],
+            hosts: vec![Host::new(1e8, loaded)],
             link: SharedLink::new(0.0, 6e6),
             startup_per_process: 0.75,
         };

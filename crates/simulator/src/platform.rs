@@ -23,11 +23,12 @@ pub struct Host {
 }
 
 impl Host {
-    /// Builds a host from its peak speed and load trace.
-    pub fn new(speed: f64, load: &LoadTrace) -> Self {
+    /// Builds a host from its peak speed and load trace, which moves into
+    /// the host's [`Cpu`].
+    pub fn new(speed: f64, load: LoadTrace) -> Self {
         Host {
             speed,
-            cpu: Cpu::new(speed, load.counts().clone()),
+            cpu: Cpu::new(speed, load.into_counts()),
         }
     }
 
@@ -142,8 +143,16 @@ pub struct PlatformSpec {
     pub startup_per_process: f64,
     /// The CPU load model.
     pub load: LoadSpec,
-    /// Length of generated load traces, seconds (after this the last load
-    /// level persists; choose comfortably above any expected makespan).
+    /// Length of generated load traces, seconds; choose it comfortably
+    /// above any expected makespan. What a host reads after it depends on
+    /// the model:
+    /// * `OnOff` and `Reclamation`: 0 from the horizon on; a source still
+    ///   ON there is cut off ([`OnOffSource::generate`]);
+    /// * `HyperExp` and `Pareto`: arrivals stop at the horizon, but each
+    ///   competitor runs out its lifetime, so the count keeps changing
+    ///   after it ([`HyperExpWorkload::generate`]);
+    /// * `Diurnal`: the last sample's level, forever;
+    /// * `Unloaded`: 0 everywhere.
     pub horizon: f64,
 }
 
@@ -190,7 +199,7 @@ impl PlatformSpec {
                     LoadSpec::Pareto(w) => w.generate(self.horizon, &mut rng),
                     LoadSpec::Diurnal(g) => g.generate(self.horizon, &mut rng),
                 };
-                Host::new(speed, &trace)
+                Host::new(speed, trace)
             })
             .collect();
         Platform {
@@ -285,7 +294,7 @@ mod tests {
     #[test]
     fn loaded_host_delivers_reduced_speed() {
         let trace = LoadTrace::from_intervals([(10.0, 20.0)]);
-        let h = Host::new(1e8, &trace);
+        let h = Host::new(1e8, trace);
         assert_eq!(h.delivered_at(5.0), 1e8);
         assert_eq!(h.delivered_at(15.0), 5e7);
     }

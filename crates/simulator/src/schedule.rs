@@ -89,7 +89,7 @@ mod tests {
         Platform {
             hosts: speeds
                 .iter()
-                .map(|&s| Host::new(s, &LoadTrace::unloaded()))
+                .map(|&s| Host::new(s, LoadTrace::unloaded()))
                 .collect(),
             link: SharedLink::hpdc03_lan(),
             startup_per_process: 0.75,
@@ -108,8 +108,8 @@ mod tests {
         let loaded = LoadTrace::from_intervals([(0.0, 100.0)]);
         let p = Platform {
             hosts: vec![
-                Host::new(4e8, &loaded),                // delivers 2e8 at t=0
-                Host::new(3e8, &LoadTrace::unloaded()), // delivers 3e8
+                Host::new(4e8, loaded),                // delivers 2e8 at t=0
+                Host::new(3e8, LoadTrace::unloaded()), // delivers 3e8
             ],
             link: SharedLink::hpdc03_lan(),
             startup_per_process: 0.75,

@@ -50,7 +50,7 @@ mod tests {
     fn matches_nothing_on_unloaded_homogeneous_platform() {
         // Equal speeds, no load: the balanced partition is the equal one.
         let hosts: Vec<Host> = (0..4)
-            .map(|_| Host::new(1e8, &LoadTrace::unloaded()))
+            .map(|_| Host::new(1e8, LoadTrace::unloaded()))
             .collect();
         let p = Platform {
             hosts,
@@ -68,8 +68,8 @@ mod tests {
         let loaded = LoadTrace::from_intervals([(0.0, 1e9)]);
         let p = Platform {
             hosts: vec![
-                Host::new(1e8, &LoadTrace::unloaded()),
-                Host::new(1e8, &loaded),
+                Host::new(1e8, LoadTrace::unloaded()),
+                Host::new(1e8, loaded),
             ],
             link: SharedLink::new(0.0, 6e6),
             startup_per_process: 0.75,
@@ -94,10 +94,7 @@ mod tests {
         // immediately after; DLB loads it up and pays the price.
         let flip = LoadTrace::from_intervals([(2.0, 1e9)]);
         let p = Platform {
-            hosts: vec![
-                Host::new(1e8, &flip),
-                Host::new(1e8, &LoadTrace::unloaded()),
-            ],
+            hosts: vec![Host::new(1e8, flip), Host::new(1e8, LoadTrace::unloaded())],
             link: SharedLink::new(0.0, 6e6),
             startup_per_process: 0.75,
         };

@@ -410,10 +410,10 @@ mod tests {
         let loaded = LoadTrace::from_intervals([(5.0, 1e9)]);
         let p = Platform {
             hosts: vec![
-                Host::new(1.2e8, &LoadTrace::unloaded()),
-                Host::new(1.1e8, &loaded),
-                Host::new(1.0e8, &LoadTrace::unloaded()),
-                Host::new(0.9e8, &LoadTrace::unloaded()),
+                Host::new(1.2e8, LoadTrace::unloaded()),
+                Host::new(1.1e8, loaded),
+                Host::new(1.0e8, LoadTrace::unloaded()),
+                Host::new(0.9e8, LoadTrace::unloaded()),
             ],
             link: SharedLink::new(1e-4, 6e6),
             startup_per_process: 0.75,

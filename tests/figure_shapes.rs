@@ -206,9 +206,9 @@ fn app_improvement_gate_only_removes_swaps() {
     let briefly_crushed = LoadTrace::from_intervals([(0.0, 5.0); 8]);
     let crafted = Platform {
         hosts: vec![
-            Host::new(3.0e8, &loaded),          // active, delivers 1.5e8
-            Host::new(3.0e8, &loaded),          // active, delivers 1.5e8
-            Host::new(3.2e8, &briefly_crushed), // spare after startup: 3.2e8
+            Host::new(3.0e8, loaded.clone()),  // active, delivers 1.5e8
+            Host::new(3.0e8, loaded),          // active, delivers 1.5e8
+            Host::new(3.2e8, briefly_crushed), // spare after startup: 3.2e8
         ],
         link: mpi_swap::simkit::link::SharedLink::hpdc03_lan(),
         startup_per_process: 0.75,
