@@ -78,6 +78,31 @@ fn bench_loadgen(c: &mut Criterion) {
     group.finish();
 }
 
+/// Whole-platform realization as the figures do it: 32 hosts at the
+/// 150 ks horizon, each host's trace generated and turned into the load
+/// and availability timelines its `Cpu` keeps.
+fn bench_realize(c: &mut Criterion) {
+    let mut group = c.benchmark_group("realize");
+    let platform = |load| PlatformSpec {
+        horizon: 150_000.0,
+        ..PlatformSpec::hpdc03(load)
+    };
+    let onoff = platform(LoadSpec::OnOff(OnOffSource::for_duty_cycle(
+        0.5, 0.08, 30.0,
+    )));
+    let hyperexp = platform(LoadSpec::HyperExp(HyperExpWorkload::new(
+        DegenerateHyperExp::new(600.0, 0.4),
+        1.0 / 600.0,
+    )));
+    group.bench_function("onoff_32_hosts_150k_s", |b| {
+        b.iter(|| std::hint::black_box(onoff.realize(1)))
+    });
+    group.bench_function("hyperexp_32_hosts_150k_s", |b| {
+        b.iter(|| std::hint::black_box(hyperexp.realize(2)))
+    });
+    group.finish();
+}
+
 fn bench_decision(c: &mut Criterion) {
     let mut group = c.benchmark_group("decision_engine");
     for &procs in &[8usize, 32, 128] {
@@ -151,6 +176,7 @@ criterion_group!(
     bench_timeline,
     bench_link,
     bench_loadgen,
+    bench_realize,
     bench_decision,
     bench_predict,
     bench_full_run
