@@ -2,12 +2,13 @@
 //! actually runs.
 //!
 //! The `ablations`/`extensions` commands issue many *small* sweeps back
-//! to back; `par_map_stats` pays a thread-spawn + channel setup for each
-//! one, while a persistent `WorkerPool` pays it once. This group guards
-//! that amortization: `many_small_sweeps/pooled` should not regress
-//! against `many_small_sweeps/per_call`, and a real ablation generator is
-//! benchmarked both ways through the thread-local pool installation the
-//! cross-figure scheduler uses.
+//! to back. `simkit::pool::map_stats` with no pool installed builds a
+//! `WorkerPool` for each call (spawning and joining its workers), while
+//! a persistent `WorkerPool` pays that once. This group guards the
+//! amortization: `many_small_sweeps/pooled` should not regress against
+//! `many_small_sweeps/per_call`, and a real ablation generator is
+//! benchmarked both ways, per-call and through the thread-local pool
+//! installation the cross-figure scheduler uses.
 
 use bench::bench_scale;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -41,7 +42,7 @@ fn bench_many_small_sweeps(c: &mut Criterion) {
         b.iter(|| {
             let mut sum = 0.0;
             for _ in 0..ROUNDS {
-                let (ys, _) = simkit::par::par_map_stats(&items, JOBS, |_, &s| cell(s));
+                let (ys, _) = simkit::pool::map_stats(&items, JOBS, |_, &s| cell(s));
                 sum += ys.iter().sum::<f64>();
             }
             std::hint::black_box(sum)

@@ -15,7 +15,7 @@ pub struct Scale {
     pub iterations: usize,
     /// Worker threads for the sweep engine: `0` = all available
     /// parallelism, `1` = serial. Results are bit-identical at every
-    /// setting (see [`simkit::par::par_map`]); only wall-clock changes,
+    /// setting (see [`simkit::pool`]); only wall-clock changes,
     /// so this is a sampling-effort knob's sibling, not a model knob.
     #[serde(default)]
     pub jobs: usize,

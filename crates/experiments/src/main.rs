@@ -89,6 +89,7 @@ fn main() {
                 std::process::exit(2);
             })
         });
+    let ops = operands(&args[1..]);
     let mut scale = if quick { Scale::quick() } else { Scale::full() };
     scale.jobs = jobs;
     scale.mtbf = mtbf;
@@ -165,13 +166,11 @@ fn main() {
             // spare-placement policies head-to-head under faults.
             // swapsim policy <file.json|--template> [duty] [state_bytes]:
             // evaluate a custom swapping policy (serde JSON of PolicyParams).
-            match args.get(1).map(String::as_str) {
+            match ops.first().copied() {
                 Some("placements") => {
-                    let m: f64 = mtbf
-                        .or_else(|| args.get(2).and_then(|s| s.parse().ok()))
-                        .unwrap_or(3_000.0);
-                    let duty: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0.5);
-                    let state: f64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(1e8);
+                    let m: f64 = mtbf.or(operand(&ops, 1, "mtbf")).unwrap_or(3_000.0);
+                    let duty: f64 = operand(&ops, 2, "duty").unwrap_or(0.5);
+                    let state: f64 = operand(&ops, 3, "state_bytes").unwrap_or(1e8);
                     run_placement_tournament(
                         m,
                         fault_seed.unwrap_or(0),
@@ -201,8 +200,8 @@ fn main() {
                             eprintln!("{path} is not a valid PolicyParams JSON: {e}");
                             std::process::exit(2);
                         });
-                    let duty: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.5);
-                    let state: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1e8);
+                    let duty: f64 = operand(&ops, 1, "duty").unwrap_or(0.5);
+                    let state: f64 = operand(&ops, 2, "state_bytes").unwrap_or(1e8);
                     run_policy_eval(policy, duty, state, &scale);
                 }
             }
@@ -217,7 +216,7 @@ fn main() {
         }
         "run" => {
             // swapsim run <scenario.json>: execute a scenario file.
-            let path = args.get(1).unwrap_or_else(|| {
+            let path = ops.first().unwrap_or_else(|| {
                 eprintln!("usage: swapsim run <scenario.json>");
                 std::process::exit(2);
             });
@@ -272,7 +271,7 @@ fn main() {
             // swapsim trace [scenario.json] [--quick] [--jobs N] [--out DIR]:
             // run a scenario (the template when no file is given) with
             // tracing on and export every format.
-            let mut scenario = match args.get(1).filter(|a| !a.starts_with("--")) {
+            let mut scenario = match ops.first() {
                 Some(path) => {
                     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
                         eprintln!("cannot read {path}: {e}");
@@ -362,10 +361,10 @@ fn main() {
             // swapsim protocol [n_active] [n_spares] [state_bytes] [swaps]
             // [--trace PATH]: one manager decision round through the
             // shared-link DES, with the full observability pipeline.
-            let n_active: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4);
-            let n_spares: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(28);
-            let state: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1.0e6);
-            let swaps: usize = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(1);
+            let n_active: usize = operand(&ops, 0, "n_active").unwrap_or(4);
+            let n_spares: usize = operand(&ops, 1, "n_spares").unwrap_or(28);
+            let state: f64 = operand(&ops, 2, "state_bytes").unwrap_or(1.0e6);
+            let swaps: usize = operand(&ops, 3, "swaps").unwrap_or(1);
             let params =
                 simulator::protocol::ProtocolParams::hpdc03(n_active, n_spares, state, swaps);
             let (sink, collector) = obs::SharedSink::collector();
@@ -396,10 +395,9 @@ fn main() {
             // swapsim faults [mtbf] [duty] [state_bytes]: every strategy
             // against deterministic crash injection at one operating
             // point, with failure/recovery accounting.
-            let mtbf_pos: Option<f64> = args.get(1).and_then(|s| s.parse().ok());
-            let m = mtbf.or(mtbf_pos).unwrap_or(3_000.0);
-            let duty: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.5);
-            let state: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1e8);
+            let m: f64 = mtbf.or(operand(&ops, 0, "mtbf")).unwrap_or(3_000.0);
+            let duty: f64 = operand(&ops, 1, "duty").unwrap_or(0.5);
+            let state: f64 = operand(&ops, 2, "state_bytes").unwrap_or(1e8);
             run_faults_compare(
                 m,
                 fault_seed.unwrap_or(0),
@@ -412,8 +410,8 @@ fn main() {
         "tune" => {
             // swapsim tune [duty] [state_bytes]: grid-search the policy
             // space at one operating point.
-            let duty: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0.5);
-            let state: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1e8);
+            let duty: f64 = operand(&ops, 0, "duty").unwrap_or(0.5);
+            let state: f64 = operand(&ops, 1, "state_bytes").unwrap_or(1e8);
             let (nothing, results) = experiments::tuner::tune(duty, state, &scale);
             println!(
                 "policy grid search at duty {duty}, state {state:.0} B ({} policies, NOTHING = {nothing:.0} s)\n",
@@ -443,18 +441,18 @@ fn main() {
         "compare" => {
             // swapsim compare [duty] [state_bytes] [n_active] [alloc]:
             // one operating point, every strategy, with spread statistics.
-            let duty: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0.5);
-            let state: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1e6);
-            let n_active: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(4);
-            let alloc: usize = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(32);
+            let duty: f64 = operand(&ops, 0, "duty").unwrap_or(0.5);
+            let state: f64 = operand(&ops, 1, "state_bytes").unwrap_or(1e6);
+            let n_active: usize = operand(&ops, 2, "n_active").unwrap_or(4);
+            let alloc: usize = operand(&ops, 3, "alloc").unwrap_or(32);
             run_compare(duty, state, n_active, alloc, &scale);
         }
         "gantt" => {
             // swapsim gantt [strategy] [duty] [seed]: render one run's
             // host occupancy.
-            let strategy_name = args.get(1).map(String::as_str).unwrap_or("swap");
-            let duty: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.5);
-            let seed: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0);
+            let strategy_name = ops.first().copied().unwrap_or("swap");
+            let duty: f64 = operand(&ops, 1, "duty").unwrap_or(0.5);
+            let seed: u64 = operand(&ops, 2, "seed").unwrap_or(0);
             run_gantt(strategy_name, duty, seed, &scale, trace_path.as_deref());
         }
         "report" => {
@@ -898,7 +896,82 @@ fn write_trace_file(bundle: &obs::TraceBundle, path: &Path) {
     );
 }
 
+/// Flags that take a value; the value is part of the flag, never an
+/// operand.
+const VALUE_FLAGS: [&str; 6] = [
+    "--out",
+    "--jobs",
+    "--trace",
+    "--mtbf",
+    "--fault-seed",
+    "--placement",
+];
+
+/// A command's operands: its arguments without `--quick` and without
+/// each value-taking flag and its value, in order. Flags may therefore
+/// sit before, between or after the operands.
+fn operands(args: &[String]) -> Vec<&str> {
+    let mut ops = Vec::new();
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            rest.next();
+        } else if a != "--quick" {
+            ops.push(a.as_str());
+        }
+    }
+    ops
+}
+
+/// Operand `i` parsed as `T`, or `None` when there are fewer operands.
+/// An operand that is present but does not parse exits 2 naming it.
+fn operand<T: std::str::FromStr>(ops: &[&str], i: usize, name: &str) -> Option<T> {
+    let s = ops.get(i)?;
+    let v = s.parse().unwrap_or_else(|_| {
+        eprintln!("{name} expects {}, got '{s}'", std::any::type_name::<T>());
+        std::process::exit(2);
+    });
+    Some(v)
+}
+
 fn usage_and_exit() -> ! {
     eprintln!("usage: swapsim <all|ablations|extensions|report|gantt|list|fig1..fig9|ablation_*|ext_*> [--quick] [--jobs N] [--out DIR] [--trace PATH]\n       swapsim gantt [strategy] [duty] [seed] [--trace PATH]\n       swapsim compare [duty] [state_bytes] [n_active] [alloc]\n       swapsim faults [mtbf] [duty] [state_bytes] [--fault-seed S] [--trace PATH]\n       swapsim tune [duty] [state_bytes]\n       swapsim policy <file.json|--template> [duty] [state_bytes]\n       swapsim policy placements [mtbf] [duty] [state_bytes] [--fault-seed S] [--trace PATH]\n       swapsim run <scenario.json> [--jobs N] [--mtbf M] [--fault-seed S] [--trace PATH]\n       swapsim trace [scenario.json] [--quick] [--jobs N] [--out DIR]\n       swapsim protocol [n_active] [n_spares] [state_bytes] [swaps] [--trace PATH]\n\n       --jobs N      worker threads for sweeps/replications (0 = auto, 1 = serial);\n                     figure CSV/JSON/metrics output is bit-identical at every setting\n       --mtbf M      inject permanent host crashes at MTBF M seconds (0 = off);\n                     recenters the ext_faults sweep, overrides a scenario's faults\n       --fault-seed S  extra seed for the fault streams (layer different fault\n                     schedules over identical platform realizations)\n       --placement NAME  spare-placement policy for the fault studies\n                     (first_alive|mtbf_aware|rack_aware); first_alive reproduces\n                     the default probe-ranked choice bit-for-bit\n       --trace PATH  also record a deterministic event trace: JSONL event log,\n                     or Chrome trace-event JSON when PATH ends in .chrome.json;\n                     swept study ids trace their representative scenario, and batch\n                     commands treat PATH as a directory of <id>.trace.jsonl files");
     std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::operands;
+
+    /// The operands of a whole command line (command first).
+    fn ops(line: &str) -> Vec<String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        operands(&args[1..]).into_iter().map(String::from).collect()
+    }
+
+    #[test]
+    fn flag_values_never_become_operands() {
+        // Each of these once read a flag's value as an operand: duty 1500,
+        // a 3-byte state, alloc = 2 and N = 3.
+        assert!(ops("faults --mtbf 1500 --fault-seed 3 --trace f.jsonl").is_empty());
+        assert_eq!(
+            ops("policy placements 1500 --fault-seed 3 --trace p.jsonl"),
+            ["placements", "1500"]
+        );
+        assert_eq!(ops("compare 0.5 1e8 --jobs 2"), ["0.5", "1e8"]);
+        assert!(ops("compare --quick --jobs 3").is_empty());
+    }
+
+    #[test]
+    fn flags_may_sit_before_between_or_after_the_operands() {
+        let want = ["0.5", "1e6", "4", "32"];
+        assert_eq!(ops("compare 0.5 1e6 4 32 --quick --jobs 1"), want);
+        assert_eq!(ops("compare --jobs 3 --quick 0.5 1e6 4 32"), want);
+        assert_eq!(
+            ops("compare 0.5 --out d 1e6 --placement rack_aware 4 32"),
+            want
+        );
+        // Other flags stay operands, which `policy --template` reads.
+        assert_eq!(ops("policy --template"), ["--template"]);
+    }
 }

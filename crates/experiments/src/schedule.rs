@@ -2,7 +2,7 @@
 //! work queue.
 //!
 //! The old driver generated figures one at a time; each sweep's
-//! `par_map` call was a barrier, so the tail of every sweep — one
+//! parallel map was a barrier, so the tail of every sweep — one
 //! straggler point finishing while the other workers idle — was paid
 //! once per sweep, figure after figure. This module instead creates one
 //! persistent [`simkit::pool::WorkerPool`] and runs each figure's

@@ -3,12 +3,12 @@
 //! A figure is a grid: a few series (strategies, configurations) times a
 //! few sweep points, each cell an independent replicated simulation.
 //! [`grid_sweep`] flattens that grid into one work list and fans it out
-//! over worker threads, so an entire figure — not just one cell's seeds
-//! — saturates the machine. When a [`simkit::pool`] worker pool is
-//! installed on the calling thread (the cross-figure scheduler does
-//! this), the work items go to the pool's shared queue instead of
-//! per-call worker threads; otherwise [`simkit::par::par_map_stats`]
-//! spawns workers for this sweep alone.
+//! through [`simkit::pool::map_stats_installed`], so an entire figure —
+//! not just one cell's seeds — saturates the machine. When a worker pool
+//! is installed on the calling thread (the cross-figure scheduler does
+//! this), the work items go to the pool's shared queue; otherwise a pool
+//! of `jobs` workers is built for this sweep alone, or the cells run
+//! serially on the caller's thread when `jobs` resolves to one.
 //!
 //! Determinism: each cell is a pure function of `(series, x)` (every
 //! replication inside realizes its platform from its own seed), and
@@ -50,6 +50,62 @@ fn nested_split(scale: &Scale, items: usize) -> usize {
     }
 }
 
+/// Runs `eval` on every item as one sweep cell and returns the results
+/// in item order. `labels[i]` is item `i`'s `(series, x)` for timing and
+/// progress output.
+///
+/// Each cell runs inside a cell scope that shares one realization cache
+/// across the sweep. While a [`timing`] collection is active on the
+/// calling thread, each completed cell is recorded with the worker slot
+/// that ran it, and the workers' busy time is merged in.
+fn sweep_cells<T: Sync, R: Send>(
+    scale: &Scale,
+    items: &[T],
+    labels: &[(&str, f64)],
+    eval: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    // The collection and pool handles are captured by the worker
+    // closure: workers run on pool threads that have no activation (or
+    // installation) of their own, so cell scopes must re-establish both.
+    let col = timing::current();
+    if let Some(c) = &col {
+        c.expect_items(items.len());
+    }
+    let pool_ctx = simkit::pool::installed();
+    let nested = nested_split(scale, items.len());
+    let cache = Arc::new(RealizationCache::new());
+    let (ys, stats) = simkit::pool::map_stats_installed(items, scale.jobs, |idx, item| {
+        let _pool = pool_ctx
+            .as_ref()
+            .map(|(pool, priority)| simkit::pool::install(pool, *priority));
+        let cell = simulator::runner::enter_cell(nested, Some(Arc::clone(&cache)));
+        let t0 = Instant::now();
+        let y = eval(item);
+        if let Some(c) = &col {
+            let report = cell.report();
+            let (series, x) = labels[idx];
+            c.record(
+                idx,
+                CellCost {
+                    series,
+                    x,
+                    wall_secs: t0.elapsed().as_secs_f64(),
+                    worker: simkit::pool::worker_slot(),
+                    nested_jobs: report.nested_jobs,
+                    cache_hits: report.cache_hits,
+                    cache_misses: report.cache_misses,
+                },
+            );
+            c.record_worker_busy(&report.worker_busy_secs);
+        }
+        y
+    });
+    if let Some(c) = &col {
+        c.record_worker_busy(&stats.worker_busy_secs);
+    }
+    ys
+}
+
 /// Evaluates `eval(series_def, x)` for every cell of the
 /// `series_defs` × `xs` grid, using the scale's `jobs` worker threads
 /// (or the installed worker pool), and returns one [`Series`] per
@@ -68,45 +124,14 @@ pub fn grid_sweep<S: Sync>(
     let items: Vec<(usize, usize)> = (0..series_defs.len())
         .flat_map(|si| (0..xs.len()).map(move |xi| (si, xi)))
         .collect();
-    // The collection and pool handles are captured by the worker
-    // closure: workers run on pool threads that have no activation (or
-    // installation) of their own, so cell scopes must re-establish both.
-    let col = timing::current();
-    if let Some(c) = &col {
-        c.expect_items(items.len());
-    }
-    let pool_ctx = simkit::pool::installed();
-    let nested = nested_split(scale, items.len());
-    let cache = Arc::new(RealizationCache::new());
     let names: Vec<String> = series_defs.iter().map(&name_of).collect();
-    let (ys, stats) = simkit::pool::map_stats_installed(&items, scale.jobs, |idx, &(si, xi)| {
-        let _pool = pool_ctx
-            .as_ref()
-            .map(|(pool, priority)| simkit::pool::install(pool, *priority));
-        let cell = simulator::runner::enter_cell(nested, Some(Arc::clone(&cache)));
-        let t0 = Instant::now();
-        let y = eval(&series_defs[si], xs[xi]);
-        if let Some(c) = &col {
-            let report = cell.report();
-            c.record(
-                idx,
-                CellCost {
-                    series: &names[si],
-                    x: xs[xi],
-                    wall_secs: t0.elapsed().as_secs_f64(),
-                    worker: simkit::par::worker_slot(),
-                    nested_jobs: report.nested_jobs,
-                    cache_hits: report.cache_hits,
-                    cache_misses: report.cache_misses,
-                },
-            );
-            c.record_worker_busy(&report.worker_busy_secs);
-        }
-        y
+    let labels: Vec<(&str, f64)> = items
+        .iter()
+        .map(|&(si, xi)| (names[si].as_str(), xs[xi]))
+        .collect();
+    let ys = sweep_cells(scale, &items, &labels, |&(si, xi)| {
+        eval(&series_defs[si], xs[xi])
     });
-    if let Some(c) = &col {
-        c.record_worker_busy(&stats.worker_busy_secs);
-    }
     names
         .into_iter()
         .enumerate()
@@ -134,43 +159,8 @@ pub fn item_sweep<T: Sync, R: Send>(
     x_of: impl Fn(&T) -> f64,
     eval: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    let col = timing::current();
-    if let Some(c) = &col {
-        c.expect_items(items.len());
-    }
-    let pool_ctx = simkit::pool::installed();
-    let nested = nested_split(scale, items.len());
-    let cache = Arc::new(RealizationCache::new());
-    let xs: Vec<f64> = items.iter().map(&x_of).collect();
-    let (ys, stats) = simkit::pool::map_stats_installed(items, scale.jobs, |idx, item| {
-        let _pool = pool_ctx
-            .as_ref()
-            .map(|(pool, priority)| simkit::pool::install(pool, *priority));
-        let cell = simulator::runner::enter_cell(nested, Some(Arc::clone(&cache)));
-        let t0 = Instant::now();
-        let y = eval(item);
-        if let Some(c) = &col {
-            let report = cell.report();
-            c.record(
-                idx,
-                CellCost {
-                    series: label,
-                    x: xs[idx],
-                    wall_secs: t0.elapsed().as_secs_f64(),
-                    worker: simkit::par::worker_slot(),
-                    nested_jobs: report.nested_jobs,
-                    cache_hits: report.cache_hits,
-                    cache_misses: report.cache_misses,
-                },
-            );
-            c.record_worker_busy(&report.worker_busy_secs);
-        }
-        y
-    });
-    if let Some(c) = &col {
-        c.record_worker_busy(&stats.worker_busy_secs);
-    }
-    ys
+    let labels: Vec<(&str, f64)> = items.iter().map(|t| (label, x_of(t))).collect();
+    sweep_cells(scale, items, &labels, eval)
 }
 
 #[cfg(test)]

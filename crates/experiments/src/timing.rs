@@ -194,7 +194,7 @@ impl Collection {
 
     /// Records one completed work item and emits a progress line. The
     /// cost's `worker` is the slot that computed the point (from
-    /// [`simkit::par::worker_slot`]). Returns quickly; safe to call from
+    /// [`simkit::pool::worker_slot`]). Returns quickly; safe to call from
     /// sweep worker threads.
     ///
     /// The progress line echoes the nested fan-out (`×N`) and the cell's
@@ -252,7 +252,7 @@ impl Collection {
     }
 
     /// Accumulates one sweep's per-worker busy time (from
-    /// [`simkit::par::ParStats`]) into the collection, element-wise by
+    /// [`simkit::pool::ParStats`]) into the collection, element-wise by
     /// worker slot. Sweeps may run back-to-back under one collection;
     /// busy time adds up per slot, and the slot vector grows to the
     /// widest sweep seen — which is also what `jobs_effective` reports.
@@ -271,11 +271,11 @@ impl Collection {
     ///
     /// `jobs_effective` is the number of workers actually spawned (the
     /// widest busy vector any sweep reported), *not*
-    /// `effective_jobs(jobs_requested)`: a sweep narrower than the jobs
-    /// knob clamps its worker count to the item count, and utilization
-    /// must be measured against workers that existed, or narrow sweeps
-    /// understate it. The requested knob is the fallback only when no
-    /// sweep ran at all.
+    /// [`simkit::pool::effective_jobs`] of the requested knob: a sweep
+    /// narrower than the jobs knob clamps its worker count to the item
+    /// count, and utilization must be measured against workers that
+    /// existed, or narrow sweeps understate it. The requested knob is
+    /// the fallback only when no sweep ran at all.
     pub fn finish(self, elapsed_secs: f64) -> TimingSummary {
         let inner = Arc::try_unwrap(self.inner)
             .map(|m| m.into_inner().expect("timing collection poisoned"))
@@ -304,7 +304,7 @@ impl Collection {
         let jobs_effective = if spawned > 0 {
             spawned
         } else {
-            simkit::par::effective_jobs(inner.jobs_requested)
+            simkit::pool::effective_jobs(inner.jobs_requested)
         };
         let busy_secs: f64 = inner.worker_busy_secs.iter().sum();
         let capacity = jobs_effective as f64 * elapsed_secs;
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn narrow_sweep_reports_spawned_workers_not_requested() {
         // Regression: jobs 8 requested, but the sweep only had 2 items,
-        // so par_map_stats spawned 2 workers. Utilization must be exact
+        // so the per-call pool had 2 workers. Utilization must be exact
         // against the 2 spawned workers, not diluted by the phantom 6.
         let col = Collection::begin("narrow", 8, 1);
         col.expect_items(2);

@@ -74,7 +74,7 @@ pub fn tune(duty: f64, state_bytes: f64, scale: &Scale) -> (f64, Vec<TunedPolicy
 
     let candidates = grid();
     let mut results: Vec<TunedPolicy> =
-        simkit::par::par_map(&candidates, scale.jobs, |_, policy| {
+        simkit::pool::map_stats(&candidates, scale.jobs, |_, policy| {
             let r = Replication::new(&spec, &app, &Swap::new(*policy), 32, &seeds).run();
             TunedPolicy {
                 policy: *policy,
@@ -82,7 +82,8 @@ pub fn tune(duty: f64, state_bytes: f64, scale: &Scale) -> (f64, Vec<TunedPolicy
                 benefit: 1.0 - r.execution_time.mean / nothing,
                 adaptations: r.mean_adaptations,
             }
-        });
+        })
+        .0;
     results.sort_by(|a, b| a.mean_time.total_cmp(&b.mean_time));
     (nothing, results)
 }

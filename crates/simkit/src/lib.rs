@@ -16,13 +16,12 @@
 //!   with latency/bandwidth semantics and fluid max–min fair sharing among
 //!   concurrent flows,
 //! * seeded **RNG plumbing** ([`rng`]) so every simulation is reproducible,
-//! * a deterministic **parallel map** ([`par::par_map`]) used by the
-//!   experiment engine to fan replications out over worker threads
-//!   without perturbing results,
-//! * a persistent **worker pool** ([`pool::WorkerPool`]) serving one
+//! * one **parallel executor** ([`pool`]): a worker pool serving one
 //!   priority-ordered work queue, so many sweeps — even from concurrent
 //!   figures — share a single set of workers with no per-sweep spawn
-//!   cost or barrier,
+//!   cost or barrier, plus the deterministic map ([`pool::map_stats`])
+//!   that fans replications out on a pool built for the call, or runs
+//!   serially on the caller's thread, without perturbing results,
 //! * a concurrent **compute-once memo cache** ([`cache::MemoCache`])
 //!   so replicated experiments that re-derive identical pure inputs
 //!   (realized platforms, fault schedules) build each one exactly once.
@@ -39,7 +38,6 @@ pub mod cpu;
 pub mod engine;
 pub mod event;
 pub mod link;
-pub mod par;
 pub mod pool;
 pub mod rng;
 pub mod time;

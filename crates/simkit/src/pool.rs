@@ -1,35 +1,32 @@
-//! A persistent worker pool serving one global, priority-ordered work
-//! queue.
+//! The one parallel executor: a persistent worker pool serving one
+//! global, priority-ordered work queue, and the maps built on it.
 //!
-//! [`crate::par::par_map`] spawns worker threads and a result channel per
-//! call. That is fine for one long sweep, but it has two costs the
-//! experiment engine now cares about:
+//! A parallel map takes one of three arms:
 //!
-//! 1. **Per-call overhead.** The ablation and extension studies run many
-//!    small sweeps back to back; respawning workers for each one pays the
-//!    thread-spawn + channel price every time (see the `par_pool` bench
-//!    group).
-//! 2. **Per-sweep barriers.** Every `par_map` call joins its workers
-//!    before returning, so when one figure's sweep drains down to a
-//!    straggler item the remaining workers idle instead of starting the
-//!    next figure.
+//! 1. **Installed pool.** [`map_stats_installed`] on a thread with a pool
+//!    [`install`]ed submits the batch to that pool's queue. The
+//!    cross-figure scheduler in `experiments` runs each figure generator
+//!    on its own thread against one shared pool, so all figures' work
+//!    items compete for the same workers: the threads are spawned once
+//!    per command, and no worker waits at a per-figure barrier.
+//! 2. **Per-call pool.** [`map_stats`] with more than one worker (after
+//!    clamping to the item count) builds a [`WorkerPool`] for that one
+//!    call and drops it before returning. This is the route for
+//!    replications and candidate grids that run outside the scheduler.
+//! 3. **Serial.** [`map_stats`] with one worker or fewer runs `f` in a
+//!    plain loop on the caller's thread, under worker slot 0, and creates
+//!    no thread.
 //!
-//! [`WorkerPool`] fixes both: it spawns its workers once and serves every
-//! submitted batch from a single queue. Batches submitted concurrently
-//! from several threads interleave item-by-item — the cross-figure
-//! scheduler in `experiments` runs each figure generator on its own
-//! thread against one shared pool, so all figures' work items compete for
-//! the same workers and no worker waits at a per-figure barrier.
+//! Determinism is the same on every arm: `f` must be a pure function of
+//! `(index, item)` and every result lands in a pre-indexed slot, so the
+//! output vector is bit-identical to the serial loop no matter how items
+//! interleave with other batches. Only wall-clock and busy-time
+//! attribution change.
 //!
 //! Batches are served lowest `priority` value first (FIFO among equal
 //! priorities); items within a batch are claimed in index order. A
 //! scheduler that assigns low priority values to its longest figures gets
 //! longest-figure-first service, which minimizes the straggler tail.
-//!
-//! Determinism is preserved exactly as in `par_map`: `f` must be a pure
-//! function of `(index, item)` and every result lands in a pre-indexed
-//! slot, so the output vector is bit-identical to the serial run no
-//! matter how items interleave with other batches.
 //!
 //! Batches may also be submitted **from a pool worker itself** — the
 //! nested seed-level parallelism in the experiment engine fans a cell's
@@ -41,7 +38,6 @@
 //! follows by induction on nesting depth — the deepest batch's items run
 //! directly and never submit further.
 
-use crate::par::{self, ParStats};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -49,6 +45,67 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Resolves a `--jobs` style knob: `0` means "use all available
+/// parallelism", anything else is taken literally.
+pub fn effective_jobs(jobs: usize) -> usize {
+    if jobs != 0 {
+        return jobs;
+    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+thread_local! {
+    static WORKER_SLOT: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The caller's worker-slot index when running inside a mapped function:
+/// `Some(slot)` on a [`WorkerPool`] worker (installed or per-call) or on
+/// the serial arm of [`map_stats`] (slot 0); `None` on ordinary threads.
+/// Slots index into [`ParStats::worker_busy_secs`], so per-item
+/// instrumentation (e.g. the experiment timing layer) can attribute work
+/// to the worker that ran it.
+pub fn worker_slot() -> Option<usize> {
+    WORKER_SLOT.with(Cell::get)
+}
+
+/// Marks the current thread as worker `slot` until the guard drops,
+/// restoring whatever was set before (a serial map inside a pool worker
+/// must not clobber the pool's slot).
+fn enter_worker_slot(slot: usize) -> WorkerSlotGuard {
+    let prev = WORKER_SLOT.with(|c| c.replace(Some(slot)));
+    WorkerSlotGuard { prev }
+}
+
+struct WorkerSlotGuard {
+    prev: Option<usize>,
+}
+
+impl Drop for WorkerSlotGuard {
+    fn drop(&mut self) {
+        WORKER_SLOT.with(|c| c.set(self.prev));
+    }
+}
+
+/// Per-map accounting: how much wall time each worker spent *inside*
+/// `f`. Busy time excludes queue overhead and idle tail time, so
+/// `sum(busy) / (workers × elapsed)` is a faithful utilization figure and
+/// `sum(busy)` is the serial-equivalent compute time.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ParStats {
+    /// One entry per worker of the pool that ran the map (a single entry
+    /// for the serial arm), in worker slot order.
+    pub worker_busy_secs: Vec<f64>,
+}
+
+impl ParStats {
+    /// Total time spent inside the mapped function, summed over workers.
+    pub fn busy_secs(&self) -> f64 {
+        self.worker_busy_secs.iter().sum()
+    }
+}
 
 /// A type-erased "run item `i` of this batch" function. The referent
 /// lives on the submitting thread's stack; see the safety contract in
@@ -103,7 +160,7 @@ impl WorkerPool {
     /// Spawns `effective_jobs(jobs)` workers (`0` = all available
     /// parallelism). The workers live until the pool is dropped.
     pub fn new(jobs: usize) -> Self {
-        let workers = par::effective_jobs(jobs);
+        let workers = effective_jobs(jobs);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: Vec::new(),
@@ -170,7 +227,7 @@ impl WorkerPool {
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let busy: Vec<Mutex<f64>> = (0..self.workers).map(|_| Mutex::new(0.0)).collect();
         let run = |i: usize| {
-            let slot = par::worker_slot().expect("pool workers carry a slot");
+            let slot = worker_slot().expect("pool workers carry a slot");
             let t0 = Instant::now();
             let out = f(i, &items[i]);
             let secs = t0.elapsed().as_secs_f64();
@@ -320,7 +377,7 @@ thread_local! {
 }
 
 fn worker_loop(shared: &Arc<Shared>, slot: usize) {
-    let _slot = par::enter_worker_slot(slot);
+    let _slot = enter_worker_slot(slot);
     WORKER_OF.with(|c| c.set(Arc::as_ptr(shared) as usize));
     loop {
         let (seq, run, item) = {
@@ -369,8 +426,8 @@ impl Drop for InstallGuard {
 
 /// Installs `pool` (with the given batch priority) as the current
 /// thread's pool until the guard drops. While installed,
-/// [`map_stats_installed`] routes work to this pool instead of spawning
-/// per-call workers, which is how the sweep engine picks up the
+/// [`map_stats_installed`] routes work to this pool instead of building
+/// a per-call one, which is how the sweep engine picks up the
 /// cross-figure queue without threading a pool parameter through every
 /// figure generator. Installations nest; the innermost wins.
 pub fn install(pool: &Arc<WorkerPool>, priority: u64) -> InstallGuard {
@@ -383,10 +440,46 @@ pub fn installed() -> Option<(Arc<WorkerPool>, u64)> {
     INSTALLED.with(|s| s.borrow().last().cloned())
 }
 
+/// Maps `f` over `items` with up to `jobs` workers (`0` = all available
+/// parallelism), returning results in item order plus per-worker busy
+/// time. An installed pool is ignored.
+///
+/// `f` receives `(index, &item)` and must be a pure function of them for
+/// the determinism guarantee to hold — it is invoked exactly once per
+/// item, but in an unspecified order and from unspecified threads.
+///
+/// `jobs` is clamped to the item count. At one worker or fewer, `f` runs
+/// in a plain loop on the caller's thread under worker slot 0, with one
+/// busy entry and no thread created, so `map_stats(.., 1, f)` is exactly
+/// the serial loop. Otherwise the batch runs on a [`WorkerPool`] built
+/// for this call and dropped before returning.
+///
+/// # Panics
+/// Propagates the first panic raised by `f`.
+pub fn map_stats<T, R, F>(items: &[T], jobs: usize, f: F) -> (Vec<R>, ParStats)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    let jobs = effective_jobs(jobs).min(items.len().max(1));
+    if jobs > 1 {
+        return WorkerPool::new(jobs).map_stats(0, items, f);
+    }
+    let _slot = enter_worker_slot(0);
+    let t0 = Instant::now();
+    let out = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    let stats = ParStats {
+        worker_busy_secs: vec![t0.elapsed().as_secs_f64()],
+    };
+    (out, stats)
+}
+
 /// Maps `f` over `items` on the thread's installed pool, or falls back
-/// to [`par::par_map_stats`] with `jobs` per-call workers when no pool is
-/// installed. Results are bit-identical either way; only scheduling and
-/// the busy-time attribution (pool workers vs per-call workers) differ.
+/// to [`map_stats`] with `jobs` workers when no pool is installed.
+/// Results are bit-identical either way; only scheduling and the
+/// busy-time attribution (installed pool's workers vs the per-call
+/// ones) differ.
 pub fn map_stats_installed<T, R, F>(items: &[T], jobs: usize, f: F) -> (Vec<R>, ParStats)
 where
     T: Sync,
@@ -395,7 +488,7 @@ where
 {
     match installed() {
         Some((pool, priority)) => pool.map_stats(priority, items, f),
-        None => par::par_map_stats(items, jobs, f),
+        None => map_stats(items, jobs, f),
     }
 }
 
@@ -417,11 +510,106 @@ mod tests {
     }
 
     #[test]
+    fn per_call_map_matches_serial_map_exactly() {
+        let items: Vec<u64> = (0..100).collect();
+        let serial: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
+        for jobs in [0, 1, 2, 3, 7, 64] {
+            let (out, _) = map_stats(&items, jobs, |_, &x| x * x + 1);
+            assert_eq!(out, serial, "jobs = {jobs}");
+        }
+    }
+
+    #[test]
     fn empty_batch_returns_immediately() {
         let pool = WorkerPool::new(2);
         let (out, stats) = pool.map_stats(0, &[] as &[u8], |_, &x| x);
         assert!(out.is_empty());
         assert_eq!(stats.worker_busy_secs, vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn empty_input_yields_empty_output() {
+        let (out, _) = map_stats(&[] as &[u8], 4, |_, _| 7u32);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn preserves_index_order_under_uneven_costs() {
+        let items: Vec<usize> = (0..32).collect();
+        let (out, _) = map_stats(&items, 4, |i, _| {
+            // Make early items the slowest so completion order inverts
+            // submission order.
+            std::thread::sleep(std::time::Duration::from_micros(
+                (items.len() - i) as u64 * 50,
+            ));
+            i
+        });
+        assert_eq!(out, items);
+    }
+
+    #[test]
+    fn effective_jobs_resolves_zero_to_at_least_one() {
+        assert!(effective_jobs(0) >= 1);
+        assert_eq!(effective_jobs(5), 5);
+    }
+
+    #[test]
+    fn stats_report_one_busy_entry_per_worker() {
+        let items: Vec<u64> = (0..16).collect();
+        let (out, stats) = map_stats(&items, 4, |_, &x| {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            x
+        });
+        assert_eq!(out, items);
+        assert_eq!(stats.worker_busy_secs.len(), 4);
+        // Every item slept inside f, so total busy covers 16 × 200 µs.
+        assert!(stats.busy_secs() >= 16.0 * 200e-6, "{stats:?}");
+        assert!(stats.worker_busy_secs.iter().all(|&b| b >= 0.0));
+    }
+
+    #[test]
+    fn serial_path_reports_a_single_worker() {
+        let items = [1u8, 2, 3];
+        let (_, stats) = map_stats(&items, 1, |_, &x| x);
+        assert_eq!(stats.worker_busy_secs.len(), 1);
+        let (_, stats) = map_stats(&[] as &[u8], 4, |_, &x| x);
+        assert_eq!(stats.worker_busy_secs.len(), 1);
+    }
+
+    #[test]
+    fn serial_arm_runs_on_the_callers_thread_under_slot_zero() {
+        // Callers that must stay on one thread (a benchmark that counts
+        // its threads, say) rely on this arm spawning nothing.
+        let caller = std::thread::current().id();
+        let ran_on = |items: &[u8], jobs: usize| {
+            let (seen, stats) = map_stats(items, jobs, |_, _| {
+                (std::thread::current().id(), worker_slot())
+            });
+            assert_eq!(stats.worker_busy_secs.len(), 1, "jobs {jobs}");
+            assert_eq!(worker_slot(), None, "jobs {jobs}: slot not restored");
+            seen
+        };
+        assert_eq!(worker_slot(), None);
+        assert_eq!(ran_on(&[1, 2, 3], 1), vec![(caller, Some(0)); 3]);
+        assert_eq!(ran_on(&[1], 8), vec![(caller, Some(0))]);
+        assert!(ran_on(&[], 8).is_empty());
+    }
+
+    #[test]
+    fn worker_slot_is_visible_inside_f_and_cleared_outside() {
+        assert_eq!(worker_slot(), None);
+        let items: Vec<usize> = (0..8).collect();
+        // Serial arm: slot 0.
+        let (slots, _) = map_stats(&items, 1, |_, _| worker_slot());
+        assert!(slots.iter().all(|&s| s == Some(0)));
+        assert_eq!(worker_slot(), None, "serial arm must restore the slot");
+        // Per-call pool: slots index its workers.
+        let (slots, stats) = map_stats(&items, 3, |_, _| {
+            std::thread::sleep(std::time::Duration::from_micros(100));
+            worker_slot().expect("inside a worker")
+        });
+        assert!(slots.iter().all(|&s| s < stats.worker_busy_secs.len()));
+        assert_eq!(worker_slot(), None);
     }
 
     #[test]
@@ -502,6 +690,18 @@ mod tests {
         let items: Vec<u32> = (0..16).collect();
         let _ = pool.map_stats(0, &items, |i, _| {
             if i == 5 {
+                panic!("boom");
+            }
+            i
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn worker_panic_propagates() {
+        let items: Vec<u32> = (0..8).collect();
+        let _ = map_stats(&items, 2, |i, _| {
+            if i == 3 {
                 panic!("boom");
             }
             i

@@ -16,7 +16,9 @@
 //!   sweep engine does this for grids narrower than the worker pool —
 //!   the per-seed loop fans out through
 //!   [`simkit::pool::map_stats_installed`] as bounded sub-tasks instead
-//!   of running serially inside the cell. Each replication is a pure
+//!   of running serially inside the cell. Outside such a scope the seeds
+//!   go through [`simkit::pool::map_stats`] with the request's `jobs`,
+//!   which ignores an installed pool. Each replication is a pure
 //!   function of its seed and results are reassembled in seed order, so
 //!   outputs stay bit-identical; only wall-clock changes.
 //! * **A shared [`RealizationCache`].** Tournament figures run several
@@ -507,7 +509,7 @@ impl<'a> Replication<'a> {
                 // is already inside the enclosing sweep item's busy window
                 // — zero its slot so figure-level busy counts it once.
                 let mut busy = stats.worker_busy_secs;
-                if let Some(slot) = simkit::par::worker_slot() {
+                if let Some(slot) = simkit::pool::worker_slot() {
                     if let Some(b) = busy.get_mut(slot) {
                         *b = 0.0;
                     }
@@ -522,7 +524,7 @@ impl<'a> Replication<'a> {
             }
             chunked.into_iter().flatten().collect()
         } else {
-            simkit::par::par_map(seeds, jobs, |_, &seed| run_one(seed))
+            simkit::pool::map_stats(seeds, jobs, |_, &seed| run_one(seed)).0
         };
         let mut runs = Vec::with_capacity(timed_runs.len());
         let mut seed_wall_secs = Vec::with_capacity(timed_runs.len());
