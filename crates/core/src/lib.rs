@@ -21,19 +21,25 @@
 //! * [`decision`] — the swap manager's decision engine: given predicted
 //!   per-processor performance, propose slowest-active ↔ fastest-inactive
 //!   exchanges and filter them through the policy.
+//! * [`manager`] — the swap manager's decision core: a history per
+//!   processor, predictions under the policy, and the engine's verdict.
+//!   Every swap manager, simulated or live, decides through it.
+//! * [`forecast`] — the NWS-style forecaster bank behind
+//!   [`Predictor::Nws`].
 //! * [`metrics`] — shared performance-metric helpers (improvement ratios,
 //!   iteration-rate conversions).
 //!
 //! The crate is deliberately independent of any particular runtime: the
-//! `simulator` crate feeds it with simulated measurements, while `minimpi`
-//! feeds it with live measurements from a threaded in-process MPI-like
-//! runtime. Both exercise the same decision path.
+//! `simulator` crate feeds a [`ManagerCore`] with simulated measurements,
+//! while `minimpi` feeds one with live measurements from a threaded
+//! in-process MPI-like runtime. Both exercise the same decision path.
 
 #![warn(missing_docs)]
 
 pub mod decision;
 pub mod forecast;
 pub mod history;
+pub mod manager;
 pub mod metrics;
 pub mod payback;
 pub mod policy;
@@ -42,5 +48,6 @@ pub use decision::{
     DecisionEngine, ProcessorSnapshot, RejectedSwap, StopReason, SwapDecision, SwapPair,
 };
 pub use history::{HistoryWindow, PerfHistory, Predictor};
+pub use manager::ManagerCore;
 pub use payback::{payback_distance, SwapCost};
 pub use policy::{NamedPolicy, PolicyParams};

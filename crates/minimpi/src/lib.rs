@@ -29,8 +29,8 @@
 //!
 //! The decision path — measure, predict through a history window, gate
 //! through payback/improvement thresholds, swap slowest-active for
-//! fastest-spare — is byte-identical to the simulator's: both call
-//! `swap_core::DecisionEngine`.
+//! fastest-spare — is byte-identical to the simulator's: both decide
+//! through `swap_core::ManagerCore`.
 
 #![warn(missing_docs)]
 

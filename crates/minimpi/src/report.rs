@@ -44,6 +44,10 @@ pub struct RunReport<S> {
     pub wall_time: std::time::Duration,
     /// Per-iteration timings and placements, in iteration order.
     pub rounds: Vec<RoundRecord>,
+    /// True when a crashed or evicted active worker found no spare left:
+    /// the run stopped at that barrier, after `iterations_run`
+    /// iterations, with each slot's state as of that barrier.
+    pub truncated: bool,
 }
 
 impl<S> RunReport<S> {
@@ -99,6 +103,7 @@ mod tests {
                     placement: vec![0, 1],
                 },
             ],
+            truncated: false,
         };
         assert_eq!(report.swap_count(), 1);
         assert!(report.worker_was_active(0, 2)); // initial active
@@ -116,6 +121,7 @@ mod tests {
             final_placement: vec![],
             wall_time: std::time::Duration::ZERO,
             rounds: vec![],
+            truncated: false,
         };
         assert_eq!(report.mean_iteration_secs(), 0.0);
     }

@@ -6,9 +6,10 @@
 //! 1. every active worker finishes `iterate`, suffers its injected load
 //!    penalty, and sends a performance report to the manager, then blocks
 //!    on its control channel — the barrier;
-//! 2. the manager collects all `N` reports, probes every spare's current
-//!    availability (the swap-handler role), and feeds everything through
-//!    the configured [`Decider`];
+//! 2. the manager collects all `N` reports and probes every spare's
+//!    current availability (the swap-handler role); a round with scripted
+//!    crashes or evictions moves each departing process to a spare, any
+//!    other round feeds everything through the configured [`Decider`];
 //! 3. admitted exchanges move the process state *and* the slot's
 //!    communicator endpoint from the displaced worker to the spare over a
 //!    rendezvous channel; the displaced worker parks as a spare, the
@@ -23,13 +24,12 @@
 use crate::app::IterativeApp;
 use crate::comm::{CommParts, CommTracer, Router, SlotComm};
 use crate::load::LoadInjector;
-use crate::report::{RunReport, SwapEvent};
+use crate::report::{RoundRecord, RunReport, SwapEvent};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use loadmodel::LoadTrace;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use swap_core::{DecisionEngine, PerfHistory, PolicyParams, ProcessorSnapshot, SwapCost};
+use swap_core::{ManagerCore, PolicyParams, SwapCost};
 
 /// How swap decisions are made.
 #[derive(Clone, Debug)]
@@ -66,6 +66,7 @@ pub struct RuntimeConfig {
     /// iteration's reports, the worker is *evicted* — if it holds a slot,
     /// the process is forcibly migrated to a spare (Condor-style resource
     /// reclamation, §2); afterwards the worker never receives new work.
+    /// With no spare left the run stops there, truncated.
     pub evictions: Vec<(usize, usize)>,
     /// Scripted host crashes, `(iteration, worker)`: the worker *fails
     /// permanently* and the failure is detected at that iteration's
@@ -76,7 +77,9 @@ pub struct RuntimeConfig {
     /// slot resumes from its last registered snapshot (modeled by the
     /// displaced worker's state channel — the manager holds a copy of
     /// every state it registered at the barrier). A crashed worker is
-    /// never probed and never a swap target again.
+    /// never probed and never a swap target again. A round's crashes are
+    /// handled before its evictions; with no spare left the run stops at
+    /// that barrier, truncated ([`RunReport::truncated`]).
     pub crashes: Vec<(usize, usize)>,
     /// When true, every swap pauses the incoming process for the
     /// *virtual* transfer time `cost.swap_time(state)` (converted to wall
@@ -290,7 +293,7 @@ pub fn run_iterative<A: IterativeApp>(config: RuntimeConfig, app: A) -> RunRepor
     drop(report_tx);
     drop(result_tx);
 
-    let (iterations_run, swap_events, final_placement, rounds) =
+    let (iterations_run, swap_events, final_placement, rounds, truncated) =
         manager_loop(&config, &report_rx, &controls, started, tracer.as_deref());
 
     let mut finals: Vec<Option<A::State>> = (0..config.n_active).map(|_| None).collect();
@@ -314,6 +317,7 @@ pub fn run_iterative<A: IterativeApp>(config: RuntimeConfig, app: A) -> RunRepor
         final_placement,
         wall_time: started.elapsed(),
         rounds,
+        truncated,
     }
 }
 
@@ -459,54 +463,32 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One admitted exchange, in manager terms.
-struct Exchange {
-    slot: usize,
-    from_worker: usize,
-    to_worker: usize,
-    payback: f64,
-    /// Wall pause the incoming process must absorb (virtual transfer
-    /// time; 0 when cost charging is off).
-    pause_secs: f64,
-}
-
+/// Runs the swap manager until the application converges, or until a
+/// crashed or evicted active worker finds no spare left (the returned
+/// flag: a truncated run). Either way every worker is sent `Stop` at the
+/// last barrier.
 fn manager_loop(
     config: &RuntimeConfig,
     report_rx: &Receiver<Report>,
     controls: &[Sender<Directive>],
     origin: Instant,
     tracer: Option<&CommTracer>,
-) -> (
-    usize,
-    Vec<SwapEvent>,
-    Vec<usize>,
-    Vec<crate::report::RoundRecord>,
-) {
+) -> (usize, Vec<SwapEvent>, Vec<usize>, Vec<RoundRecord>, bool) {
     let n = config.n_active;
     let mut placement: Vec<usize> = (0..n).collect(); // slot -> worker
     let mut spares: Vec<usize> = (n..config.n_workers).collect();
-    // Workers whose owner reclaimed them: parked until shutdown, never
-    // probed, never swap targets.
+    // Workers that crashed or whose owner reclaimed them: parked until
+    // shutdown, never probed, never swap targets.
     let mut evicted: Vec<usize> = Vec::new();
-    let mut histories: HashMap<usize, PerfHistory> = HashMap::new();
-    let engine = match &config.decider {
-        Decider::Policy(policy) => Some(DecisionEngine::new(*policy, config.cost)),
-        _ => None,
+    let policy = match config.decider {
+        Decider::Policy(policy) => Some(policy),
+        Decider::Never | Decider::ForceEvery(_) => None,
     };
+    let mut core = ManagerCore::new(config.n_workers, policy, config.cost, None);
     let mut events: Vec<SwapEvent> = Vec::new();
-    let mut rounds: Vec<crate::report::RoundRecord> = Vec::new();
-    // Effective state size for cost/payback arithmetic (updated from the
-    // latest reports unless overridden).
-    let mut state_size;
-    let pause_for = |size: f64| {
-        if config.charge_swap_cost {
-            config.cost.swap_time(size) / config.compression
-        } else {
-            0.0
-        }
-    };
+    let mut rounds: Vec<RoundRecord> = Vec::new();
 
-    loop {
+    let (iterations_run, truncated) = loop {
         // Barrier: one report per active slot. A failure report aborts
         // the run immediately — peers may be blocked mid-collective on
         // the dead rank and will never report.
@@ -539,7 +521,7 @@ fn manager_loop(
             reports.iter().all(|r| r.iter == iter),
             "BSP lockstep broken"
         );
-        rounds.push(crate::report::RoundRecord {
+        rounds.push(RoundRecord {
             iter,
             max_iter_secs: reports.iter().map(|r| r.total_secs).fold(0.0, f64::max),
             placement: placement.clone(),
@@ -560,16 +542,21 @@ fn manager_loop(
             });
         }
 
-        state_size = config
+        // Effective state size for cost/payback arithmetic (from the
+        // latest reports unless overridden), and the wall pause a swap
+        // charges the incoming process.
+        let state_size = config
             .state_size_override
             .unwrap_or_else(|| reports.iter().map(|r| r.state_size).max().unwrap_or(0) as f64);
+        let pause = if config.charge_swap_cost {
+            config.cost.swap_time(state_size) / config.compression
+        } else {
+            0.0
+        };
 
         // Record active rates (iterations per virtual second).
         for r in &reports {
-            histories
-                .entry(r.worker)
-                .or_default()
-                .record(vnow, 1.0 / (r.total_secs * config.compression));
+            core.record(r.worker, vnow, 1.0 / (r.total_secs * config.compression));
         }
         // Probe spares: availability × the unloaded rate reference.
         let mut pure: Vec<f64> = reports.iter().map(|r| r.pure_secs).collect();
@@ -585,39 +572,37 @@ fn manager_loop(
             drop(ptx);
             for _ in 0..spares.len() {
                 let (w, avail) = prx.recv().expect("spare replies to probe");
-                histories
-                    .entry(w)
-                    .or_default()
-                    .record(vnow, avail / pure_med_v);
+                core.record(w, vnow, avail / pure_med_v);
             }
         }
 
         if reports.iter().all(|r| r.converged) {
-            for &w in placement.iter().chain(spares.iter()).chain(evicted.iter()) {
-                controls[w].send(Directive::Stop).expect("worker alive");
-            }
-            return (iter, events, placement, rounds);
+            break (iter, false);
         }
 
-        // Scripted crashes surface at the barrier that just completed
-        // (ULFM-style: survivors learn of a death at the next
-        // collective). Recovery is a mandatory swap to the best
-        // remaining spare — the payback test is skipped, like a
-        // reclamation — but the trace records it as a *fault*, not an
-        // owner decision.
-        let crashed: Vec<usize> = config
+        // Mandatory moves pre-empt the policy: the round's scripted
+        // crashes, then its owner reclamations. A crash surfaces at the
+        // barrier that just completed (ULFM-style: survivors learn of a
+        // death at the next collective). Either way an active process
+        // MUST move — the payback test is skipped — to the best
+        // remaining spare, but only a crash is traced, as a *fault*
+        // rather than an owner decision.
+        let leaving: Vec<(usize, bool)> = config
             .crashes
             .iter()
-            .filter(|&&(at, _)| at == iter)
-            .map(|&(_, w)| w)
+            .map(|&(at, w)| (at, w, true))
+            .chain(config.evictions.iter().map(|&(at, w)| (at, w, false)))
+            .filter(|&(at, _, _)| at == iter)
+            .map(|(_, w, crash)| (w, crash))
             .collect();
-        if !crashed.is_empty() {
-            let mut exchanges = Vec::new();
-            for w in crashed {
+        let exchanges = if !leaving.is_empty() {
+            let mut movers = Vec::new();
+            for (w, crash) in leaving {
                 if evicted.contains(&w) {
                     continue;
                 }
-                if let Some(tr) = tracer {
+                evicted.push(w);
+                if let Some(tr) = tracer.filter(|_| crash) {
                     tr.emit(obs::TraceEvent::FaultInjected {
                         t: tr.vnow(),
                         host: Some(w),
@@ -633,30 +618,30 @@ fn manager_loop(
                         detail: None,
                     });
                 }
-                if let Some(pos) = spares.iter().position(|&s| s == w) {
-                    // A dead spare just leaves the pool.
-                    spares.swap_remove(pos);
-                    evicted.push(w);
-                    continue;
+                // A departing active process must move; a departing
+                // spare just leaves the pool.
+                if let Some(slot) = placement.iter().position(|&a| a == w) {
+                    movers.push((slot, w, crash));
                 }
-                let slot = placement
-                    .iter()
-                    .position(|&a| a == w)
-                    .expect("worker is active or spare");
+            }
+            spares.retain(|s| !evicted.contains(s));
+            if movers.len() > spares.len() {
+                break (iter, true);
+            }
+            let mut exchanges = Vec::with_capacity(movers.len());
+            for (slot, w, crash) in movers {
                 // Best remaining spare by most recent measurement.
                 let to = spares
                     .iter()
                     .copied()
                     .max_by(|&a, &b| {
-                        let ra = histories[&a].last().map_or(0.0, |(_, v)| v);
-                        let rb = histories[&b].last().map_or(0.0, |(_, v)| v);
+                        let ra = core.history(a).last().map_or(0.0, |(_, v)| v);
+                        let rb = core.history(b).last().map_or(0.0, |(_, v)| v);
                         ra.total_cmp(&rb).then(b.cmp(&a))
                     })
-                    .expect("crash recovery needs an available spare");
+                    .expect("one spare per moving slot");
                 spares.retain(|&s| s != to);
-                evicted.push(w);
-                let pause = pause_for(state_size);
-                if let Some(tr) = tracer {
+                if let Some(tr) = tracer.filter(|_| crash) {
                     tr.emit(obs::TraceEvent::RecoveryComplete {
                         t: tr.vnow(),
                         host: w,
@@ -665,194 +650,102 @@ fn manager_loop(
                         pause_secs: pause * config.compression,
                     });
                 }
-                exchanges.push(Exchange {
+                exchanges.push(SwapEvent {
+                    iter,
                     slot,
                     from_worker: w,
                     to_worker: to,
                     payback: 0.0,
-                    pause_secs: pause,
                 });
             }
-            emit_exchanges(tracer, &exchanges, iter, state_size, config.compression);
-            enact(
-                exchanges,
-                &mut placement,
-                &mut spares,
-                controls,
-                &mut events,
-                iter,
-            );
-            // The dead worker is parked, never a spare again.
-            for &w in &evicted {
-                spares.retain(|&s| s != w);
-            }
-            continue;
-        }
-
-        // Scripted owner reclamations for this round pre-empt the policy:
-        // an evicted active process MUST move, policy or not.
-        let reclaimed: Vec<usize> = config
-            .evictions
-            .iter()
-            .filter(|&&(at, _)| at == iter)
-            .map(|&(_, w)| w)
-            .collect();
-        if !reclaimed.is_empty() {
-            let mut exchanges = Vec::new();
-            for w in reclaimed {
-                if evicted.contains(&w) {
-                    continue;
-                }
-                if let Some(pos) = spares.iter().position(|&s| s == w) {
-                    spares.swap_remove(pos);
-                    evicted.push(w);
-                    continue;
-                }
-                let slot = placement
-                    .iter()
-                    .position(|&a| a == w)
-                    .expect("worker is active or spare");
-                // Best remaining spare by most recent measurement.
-                let to = spares
-                    .iter()
-                    .copied()
-                    .max_by(|&a, &b| {
-                        let ra = histories[&a].last().map_or(0.0, |(_, v)| v);
-                        let rb = histories[&b].last().map_or(0.0, |(_, v)| v);
-                        ra.total_cmp(&rb).then(b.cmp(&a))
-                    })
-                    .expect("eviction needs an available spare");
-                spares.retain(|&s| s != to);
-                evicted.push(w);
-                exchanges.push(Exchange {
+            exchanges
+        } else if let Decider::ForceEvery(k) = config.decider {
+            if iter.is_multiple_of(k) && !spares.is_empty() {
+                let slot = (iter / k - 1) % n;
+                vec![SwapEvent {
+                    iter,
                     slot,
-                    from_worker: w,
-                    to_worker: to,
+                    from_worker: placement[slot],
+                    to_worker: spares[0],
                     payback: 0.0,
-                    pause_secs: pause_for(state_size),
+                }]
+            } else {
+                Vec::new()
+            }
+        } else if let Some(decision) = core.decide(
+            placement
+                .iter()
+                .map(|&w| (w, true))
+                .chain(spares.iter().map(|&w| (w, false))),
+            vnow,
+            iter_time_v,
+            state_size,
+        ) {
+            if let Some(tr) = tracer {
+                tr.emit(obs::TraceEvent::SwapDecision {
+                    t: vnow,
+                    iter: iter - 1,
+                    old_iter_time: iter_time_v,
+                    swap_time: config.cost.swap_time(state_size),
+                    app_improvement: decision.app_improvement,
+                    stopped_because: decision.stopped_because,
+                    admitted: decision.pairs.clone(),
+                    rejected: decision.rejected,
                 });
             }
-            emit_exchanges(tracer, &exchanges, iter, state_size, config.compression);
-            enact(
-                exchanges,
-                &mut placement,
-                &mut spares,
-                controls,
-                &mut events,
-                iter,
-            );
-            // The displaced worker is evicted, not a spare.
-            for &w in &evicted {
-                spares.retain(|&s| s != w);
-            }
-            continue;
-        }
-
-        // Decide.
-        let exchanges: Vec<Exchange> = match &config.decider {
-            Decider::Never => Vec::new(),
-            Decider::ForceEvery(k) => {
-                if iter.is_multiple_of(*k) && !spares.is_empty() {
-                    let slot = (iter / k - 1) % n;
-                    vec![Exchange {
-                        slot,
-                        from_worker: placement[slot],
-                        to_worker: spares[0],
-                        payback: 0.0,
-                        pause_secs: pause_for(state_size),
-                    }]
-                } else {
-                    Vec::new()
-                }
-            }
-            Decider::Policy(policy) => {
-                let engine = engine.as_ref().expect("engine built for Policy");
-                let snapshots: Vec<ProcessorSnapshot> = placement
-                    .iter()
-                    .map(|&w| (w, true))
-                    .chain(spares.iter().map(|&w| (w, false)))
-                    .map(|(w, active)| ProcessorSnapshot {
-                        id: w,
-                        active,
-                        predicted_perf: histories[&w]
-                            .predict(policy.predictor, policy.history, vnow)
-                            .expect("every worker has history"),
-                    })
-                    .collect();
-                let decision = engine.decide(&snapshots, iter_time_v, state_size);
-                if let Some(tr) = tracer {
-                    tr.emit(obs::TraceEvent::SwapDecision {
-                        t: vnow,
-                        iter: iter - 1,
-                        old_iter_time: iter_time_v,
-                        swap_time: config.cost.swap_time(state_size),
-                        app_improvement: decision.app_improvement,
-                        stopped_because: decision.stopped_because,
-                        admitted: decision.pairs.clone(),
-                        rejected: decision.rejected,
-                    });
-                }
-                decision
-                    .pairs
-                    .iter()
-                    .map(|p| Exchange {
-                        slot: placement
-                            .iter()
-                            .position(|&w| w == p.from)
-                            .expect("pair.from is an active worker"),
-                        from_worker: p.from,
-                        to_worker: p.to,
-                        payback: p.payback,
-                        pause_secs: pause_for(state_size),
-                    })
-                    .collect()
-            }
+            decision
+                .pairs
+                .iter()
+                .map(|p| SwapEvent {
+                    iter,
+                    slot: placement
+                        .iter()
+                        .position(|&w| w == p.from)
+                        .expect("pair.from is an active worker"),
+                    from_worker: p.from,
+                    to_worker: p.to,
+                    payback: p.payback,
+                })
+                .collect()
+        } else {
+            Vec::new() // Decider::Never
         };
 
-        emit_exchanges(tracer, &exchanges, iter, state_size, config.compression);
-        enact(
-            exchanges,
-            &mut placement,
-            &mut spares,
-            controls,
-            &mut events,
-            iter,
-        );
+        if let Some(tr) = tracer {
+            for ex in &exchanges {
+                tr.emit(obs::TraceEvent::SwapExec {
+                    t: tr.vnow(),
+                    iter: iter - 1,
+                    from: ex.from_worker,
+                    to: ex.to_worker,
+                    bytes: state_size,
+                    transfer_secs: pause * config.compression,
+                });
+            }
+        }
+        enact(&exchanges, pause, &mut placement, &mut spares, controls);
+        events.extend(exchanges);
+        // A displaced worker that left is parked, never a spare again.
+        spares.retain(|s| !evicted.contains(s));
+    };
+
+    // Every worker is active, spare or parked: stop them all.
+    for control in controls {
+        control.send(Directive::Stop).expect("worker alive");
     }
+    (iterations_run, events, placement, rounds, truncated)
 }
 
-/// Emits one [`obs::TraceEvent::SwapExec`] per admitted exchange, with
-/// the virtual transfer time actually charged to the incoming process.
-fn emit_exchanges(
-    tracer: Option<&CommTracer>,
-    exchanges: &[Exchange],
-    iter: usize,
-    state_size: f64,
-    compression: f64,
-) {
-    let Some(tr) = tracer else { return };
-    for ex in exchanges {
-        tr.emit(obs::TraceEvent::SwapExec {
-            t: tr.vnow(),
-            iter: iter - 1,
-            from: ex.from_worker,
-            to: ex.to_worker,
-            bytes: state_size,
-            transfer_secs: ex.pause_secs * compression,
-        });
-    }
-}
-
-/// Applies a batch of exchanges: wires the activation rendezvous, updates
-/// the placement and spare pool, logs the events, and releases the
-/// untouched active workers with `Continue`.
+/// Applies a batch of exchanges: wires the activation rendezvous (each
+/// incoming process pauses `pause` wall seconds), updates the placement
+/// and spare pool, and releases the untouched active workers with
+/// `Continue`.
 fn enact(
-    exchanges: Vec<Exchange>,
+    exchanges: &[SwapEvent],
+    pause: f64,
     placement: &mut [usize],
     spares: &mut Vec<usize>,
     controls: &[Sender<Directive>],
-    events: &mut Vec<SwapEvent>,
-    iter: usize,
 ) {
     let mut swapped = vec![false; placement.len()];
     for ex in exchanges {
@@ -863,20 +756,13 @@ fn enact(
         controls[ex.from_worker]
             .send(Directive::SwapOut {
                 to: atx,
-                pause_secs: ex.pause_secs,
+                pause_secs: pause,
             })
             .expect("active worker alive");
         placement[ex.slot] = ex.to_worker;
         spares.retain(|&w| w != ex.to_worker);
         spares.push(ex.from_worker);
         swapped[ex.slot] = true;
-        events.push(SwapEvent {
-            iter,
-            slot: ex.slot,
-            from_worker: ex.from_worker,
-            to_worker: ex.to_worker,
-            payback: ex.payback,
-        });
     }
     for (slot, &w) in placement.iter().enumerate() {
         if !swapped[slot] {
@@ -1227,11 +1113,71 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "crash recovery needs an available spare")]
-    fn crash_without_spares_panics() {
+    fn crash_and_eviction_in_the_same_round_both_move() {
+        let baseline = run_iterative(RuntimeConfig::new(2, 2, 8), SumApp);
+        let mut cfg = RuntimeConfig::new(5, 2, 8);
+        cfg.crashes = vec![(3, 0)];
+        cfg.evictions = vec![(3, 1)];
+        let report = run_iterative(cfg, SumApp);
+        let moved: Vec<usize> = report
+            .swap_events
+            .iter()
+            .filter(|e| e.iter == 3)
+            .map(|e| e.from_worker)
+            .collect();
+        assert_eq!(moved, vec![0, 1], "swaps: {:?}", report.swap_events);
+        assert!(
+            !report.final_placement.contains(&0) && !report.final_placement.contains(&1),
+            "a departed worker still holds a slot: {:?}",
+            report.final_placement
+        );
+        assert!(!report.truncated);
+        for (a, b) in baseline.final_states.iter().zip(&report.final_states) {
+            assert_eq!(a.total, b.total);
+        }
+    }
+
+    #[test]
+    fn a_spare_dying_in_the_same_round_is_never_the_replacement() {
+        // On a tie the lower id is the best spare: worker 2, which dies
+        // in the round that needs a replacement for worker 0.
+        let mut cfg = RuntimeConfig::new(4, 2, 8);
+        cfg.crashes = vec![(3, 0), (3, 2)];
+        let report = run_iterative(cfg, SumApp);
+        assert!(!report.truncated);
+        assert_eq!(report.swap_count(), 1);
+        assert_eq!(report.final_placement, vec![3, 1]);
+    }
+
+    #[test]
+    fn crash_without_spares_truncates_the_run() {
         let mut cfg = RuntimeConfig::new(2, 2, 5);
         cfg.crashes = vec![(2, 0)];
-        run_iterative(cfg, SumApp);
+        let (sink, collector) = obs::SharedSink::collector();
+        cfg.trace = Some(sink);
+        let report = run_iterative(cfg, SumApp);
+        assert!(report.truncated);
+        assert_eq!(report.iterations_run, 2);
+        assert_eq!(report.swap_count(), 0);
+        assert_eq!(report.final_placement, vec![0, 1]);
+        // Each slot's state at the detection barrier: two rounds of 1 + 2.
+        assert!(report.final_states.iter().all(|s| s.total == 6.0));
+
+        let trace = std::sync::Arc::try_unwrap(collector)
+            .expect("all sink handles dropped after the run")
+            .into_trace();
+        assert!(trace.events.iter().any(|e| matches!(
+            e,
+            obs::TraceEvent::FailureDetected {
+                host: 0,
+                cause: obs::FailureCause::InjectedCrash,
+                ..
+            }
+        )));
+        assert!(!trace
+            .events
+            .iter()
+            .any(|e| matches!(e, obs::TraceEvent::RecoveryComplete { host: 0, .. })));
     }
 
     #[test]
@@ -1337,11 +1283,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "eviction needs an available spare")]
-    fn eviction_without_spares_panics() {
+    fn eviction_without_spares_truncates_the_run() {
         let mut cfg = RuntimeConfig::new(2, 2, 5);
         cfg.evictions = vec![(2, 0)];
-        run_iterative(cfg, SumApp);
+        let report = run_iterative(cfg, SumApp);
+        assert!(report.truncated);
+        assert_eq!(report.iterations_run, 2);
+        assert_eq!(report.swap_count(), 0);
+        assert_eq!(report.final_placement, vec![0, 1]);
+        assert!(report.final_states.iter().all(|s| s.total == 6.0));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! checkpoint write + MPI restart + checkpoint read each time.
 
 use super::swap::Manager;
-use super::{policy_candidates, rank_by_probe, RunContext, Strategy};
+use super::{choose_spare, RunContext, Strategy};
 use crate::exec::{run_iteration, FaultedIteration, IterationRecord, RunResult};
 use crate::schedule::{equal_partition, fastest_hosts};
 use swap_core::{PolicyParams, ProcessorSnapshot};
@@ -83,7 +83,7 @@ impl Strategy for Cr {
 
         let mut pool = fastest_hosts(ctx.platform, alloc, 0.0);
         let mut active: Vec<usize> = pool[..n].to_vec();
-        let mut manager = Manager::new(ctx, self.policy, None, &pool);
+        let mut manager = Manager::new(ctx, self.policy, None);
 
         let startup = ctx.platform.startup_time(alloc);
         let ckpt_write = ctx
@@ -125,22 +125,8 @@ impl Strategy for Cr {
                 // Roll back: re-read the checkpoint, restart the N
                 // application processes on the best survivors, and lose
                 // every iteration since the checkpoint.
-                let probe_ranked = rank_by_probe(ctx.platform, pool.iter().copied(), t, detected);
-                active = match ctx.policies {
-                    None => probe_ranked[..n].to_vec(),
-                    Some(ps) => {
-                        let candidates = policy_candidates(ctx, &probe_ranked, t, detected);
-                        let ranked = ps.placement.rank(&candidates, detected);
-                        ctx.emit(|| obs::TraceEvent::PolicyDecision {
-                            t: detected,
-                            policy: ps.placement.name().to_owned(),
-                            failed: fi.failed[0],
-                            chosen: ranked.first().copied(),
-                            ranked: ranked.clone(),
-                        });
-                        ranked[..n].to_vec()
-                    }
-                };
+                active = choose_spare(ctx, pool.iter().copied(), fi.failed[0], t, detected)[..n]
+                    .to_vec();
                 ctx.emit(|| obs::TraceEvent::RecoveryComplete {
                     t: detected + restart_pause,
                     host: fi.failed[0],
@@ -212,7 +198,7 @@ impl Strategy for Cr {
                             manager.decide(ctx, &pool, &active, index, out.end - t, out.end);
                         if decision.will_swap() {
                             let mut ranked: Vec<&ProcessorSnapshot> =
-                                manager.snapshots.iter().collect();
+                                manager.core.snapshots().iter().collect();
                             ranked.sort_by(|a, b| {
                                 b.predicted_perf
                                     .total_cmp(&a.predicted_perf)

@@ -204,7 +204,7 @@ pub(crate) fn rank_by_probe(
 /// sees: one per probe-ranked candidate, carrying everything the fault
 /// plan makes observable (effective MTBF, distribution family, failure
 /// domain, last rack alarm at or before `t1`).
-pub(crate) fn policy_candidates(
+fn policy_candidates(
     ctx: &RunContext<'_>,
     ranked: &[usize],
     t0: f64,
@@ -228,34 +228,35 @@ pub(crate) fn policy_candidates(
         .collect()
 }
 
-/// Picks the spare replacing `dead` at a recovery point: probe-rank the
-/// spares (the legacy order), then — when a policy bundle is attached —
-/// let its placement policy re-rank them and emit the `PolicyDecision`
-/// audit event. With no policy bundle this is byte-identical to the
-/// inline `rank_by_probe(..).first()` the strategies used before the
-/// policy layer existed.
+/// Ranks the hosts that could replace `dead` at a recovery point, best
+/// first: probe-rank the candidates (the legacy order), then — when a
+/// policy bundle is attached — let its placement policy re-rank them and
+/// emit the `PolicyDecision` audit event. SWAP takes the first spare, CR
+/// restarts on the first `N` survivors. With no policy bundle this is
+/// byte-identical to the inline `rank_by_probe` the strategies used
+/// before the policy layer existed.
 pub(crate) fn choose_spare(
     ctx: &RunContext<'_>,
-    spares: impl IntoIterator<Item = usize>,
+    candidates: impl IntoIterator<Item = usize>,
     dead: usize,
     t0: f64,
     t1: f64,
-) -> Option<usize> {
-    let probe_ranked = rank_by_probe(ctx.platform, spares, t0, t1);
+) -> Vec<usize> {
+    let probe_ranked = rank_by_probe(ctx.platform, candidates, t0, t1);
     let Some(ps) = ctx.policies else {
-        return probe_ranked.first().copied();
+        return probe_ranked;
     };
-    let candidates = policy_candidates(ctx, &probe_ranked, t0, t1);
-    let ranked = ps.placement.rank(&candidates, t1);
-    let chosen = ranked.first().copied();
+    let ranked = ps
+        .placement
+        .rank(&policy_candidates(ctx, &probe_ranked, t0, t1), t1);
     ctx.emit(|| obs::TraceEvent::PolicyDecision {
         t: t1,
         policy: ps.placement.name().to_owned(),
         failed: dead,
-        chosen,
+        chosen: ranked.first().copied(),
         ranked: ranked.clone(),
     });
-    chosen
+    ranked
 }
 
 /// An execution strategy: how the application reacts (or not) to the

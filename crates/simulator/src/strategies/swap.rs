@@ -16,9 +16,7 @@ use crate::exec::{
 };
 use crate::schedule::fastest_hosts;
 use simkit::Cursor;
-use swap_core::{
-    DecisionEngine, PerfHistory, PolicyParams, ProcessorSnapshot, SwapCost, SwapDecision,
-};
+use swap_core::{ManagerCore, PolicyParams, SwapCost, SwapDecision};
 
 /// MPI process swapping with a configurable policy.
 #[derive(Clone, Copy, Debug)]
@@ -96,24 +94,18 @@ impl Strategy for Swap {
 }
 
 /// The swap manager's per-run state, shared by SWAP, DLB+SWAP and CR's
-/// performance trigger: a performance history per allocated processor
-/// and the decision engine that reads them.
+/// performance trigger: the shared decision core, plus how the
+/// simulator measures each host.
 pub(super) struct Manager {
-    policy: PolicyParams,
-    engine: DecisionEngine,
-    /// What the manager knows of each host, indexed by host id (not by
+    /// Histories and the decision engine, indexed by host id (not by
     /// pool position, which shifts when crashed hosts leave the pool).
+    pub(super) core: ManagerCore,
+    /// What the manager knows of each host, indexed by host id.
     hosts: Vec<Tracked>,
-    /// Every pool member's prediction at the last decision point, in
-    /// pool order (reused across iterations: the replication hot path
-    /// runs thousands of these loops).
-    pub(super) snapshots: Vec<ProcessorSnapshot>,
 }
 
 /// The manager's record of one host.
 struct Tracked {
-    /// Measurements, recorded for pool members only.
-    history: PerfHistory,
     /// Where the host's last probe ended in its load timeline.
     cursor: Cursor,
     /// Whether an application process runs here, as of the last
@@ -126,22 +118,19 @@ impl Manager {
         ctx: &RunContext<'_>,
         policy: PolicyParams,
         max_swaps: Option<usize>,
-        pool: &[usize],
     ) -> Self {
-        let mut engine = DecisionEngine::new(policy, SwapCost::from_link(ctx.platform.link));
-        if let Some(max) = max_swaps {
-            engine = engine.with_max_swaps(max);
-        }
         let hosts = ctx.platform.hosts.iter().map(|_| Tracked {
-            history: PerfHistory::new(),
             cursor: Cursor::default(),
             active: false,
         });
         Manager {
-            policy,
-            engine,
+            core: ManagerCore::new(
+                ctx.platform.hosts.len(),
+                Some(policy),
+                SwapCost::from_link(ctx.platform.link),
+                max_swaps,
+            ),
             hosts: hosts.collect(),
-            snapshots: Vec::with_capacity(pool.len()),
         }
     }
 
@@ -168,7 +157,7 @@ impl Manager {
     ) {
         self.mark_active(active);
         for (k, &h) in active.iter().enumerate() {
-            self.hosts[h].history.record(out.end, out.measured_rates[k]);
+            self.core.record(h, out.end, out.measured_rates[k]);
         }
         for &h in pool {
             let host = &mut self.hosts[h];
@@ -176,7 +165,7 @@ impl Manager {
                 continue;
             }
             let probed = probe_host_with(ctx.platform, h, t, out.compute_end, &mut host.cursor);
-            host.history.record(out.end, probed);
+            self.core.record(h, out.end, probed);
             ctx.emit(|| obs::TraceEvent::Probe {
                 t: out.end,
                 host: h,
@@ -186,9 +175,8 @@ impl Manager {
     }
 
     /// Decision point at `now`, after iteration `index` took
-    /// `iter_time`: predicts every pool member into
-    /// [`Manager::snapshots`], asks the engine which exchanges pay back,
-    /// and emits the `SwapDecision` audit event.
+    /// `iter_time`: asks the core which exchanges pay back for the pool,
+    /// in pool order, and emits the `SwapDecision` audit event.
     pub(super) fn decide(
         &mut self,
         ctx: &RunContext<'_>,
@@ -199,25 +187,22 @@ impl Manager {
         now: f64,
     ) -> SwapDecision {
         self.mark_active(active);
-        self.snapshots.clear();
-        self.snapshots.extend(pool.iter().map(|&h| {
-            let host = &self.hosts[h];
-            ProcessorSnapshot {
-                id: h,
-                active: host.active,
-                predicted_perf: host
-                    .history
-                    .predict(self.policy.predictor, self.policy.history, now)
-                    .expect("history has at least one sample"),
-            }
-        }));
+        let hosts = &self.hosts;
         let state = ctx.app.process_state_bytes;
-        let decision = self.engine.decide(&self.snapshots, iter_time, state);
+        let decision = self
+            .core
+            .decide(
+                pool.iter().map(|&h| (h, hosts[h].active)),
+                now,
+                iter_time,
+                state,
+            )
+            .expect("the simulator's manager has a policy");
         ctx.emit(|| obs::TraceEvent::SwapDecision {
             t: now,
             iter: index,
             old_iter_time: iter_time,
-            swap_time: self.engine.cost().swap_time(state),
+            swap_time: SwapCost::from_link(ctx.platform.link).swap_time(state),
             app_improvement: decision.app_improvement,
             stopped_because: decision.stopped_because,
             admitted: decision.pairs.clone(),
@@ -257,7 +242,7 @@ pub(super) fn run_swapping(
 
     let mut pool = fastest_hosts(ctx.platform, alloc, 0.0);
     let mut active: Vec<usize> = pool[..n].to_vec();
-    let mut manager = Manager::new(ctx, policy, max_swaps, &pool);
+    let mut manager = Manager::new(ctx, policy, max_swaps);
 
     let startup = ctx.platform.startup_time(alloc);
     let mut t = startup;
@@ -285,7 +270,7 @@ pub(super) fn run_swapping(
             let mut stranded = false;
             for &dead in &fi.failed {
                 let spares = pool.iter().copied().filter(|h| !active.contains(h));
-                let Some(best) = choose_spare(ctx, spares, dead, t, detected) else {
+                let Some(&best) = choose_spare(ctx, spares, dead, t, detected).first() else {
                     stranded = true;
                     break;
                 };
