@@ -53,17 +53,6 @@ fn bench_collectives(c: &mut Criterion) {
                 })
             })
         });
-        group.bench_function(format!("allreduce_tree_x100/{n}"), |b| {
-            b.iter(|| {
-                with_comm(n, |rank, comm| {
-                    let mut acc = rank as f64;
-                    for _ in 0..100 {
-                        acc = comm.allreduce_tree(&acc, |a, b| a + b);
-                    }
-                    std::hint::black_box(acc);
-                })
-            })
-        });
     }
     group.finish();
 }

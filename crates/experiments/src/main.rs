@@ -24,8 +24,8 @@ use experiments::ablations::ALL_ABLATIONS;
 use experiments::extensions::ALL_EXTENSIONS;
 use experiments::figures::ALL_FIGURES;
 use experiments::output::{write_manifest, Manifest};
-use experiments::report::{render_markdown, run_report_timed_with, REPORT_FIGURES};
-use experiments::schedule::{self, GeneratedFigure, Weights};
+use experiments::report::{render_markdown, run_report, REPORT_FIGURES};
+use experiments::schedule::{self, GeneratedFigure};
 use experiments::Scale;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -36,65 +36,18 @@ fn main() {
         usage_and_exit();
     }
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_dir: PathBuf = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--jobs expects a number (0 = auto), got '{v}'");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0);
-    let trace_path: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let mtbf: Option<f64> = args
-        .iter()
-        .position(|a| a == "--mtbf")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--mtbf expects seconds (0 = faults off), got '{v}'");
-                std::process::exit(2);
-            })
-        });
-    let fault_seed: Option<u64> = args
-        .iter()
-        .position(|a| a == "--fault-seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--fault-seed expects an integer, got '{v}'");
-                std::process::exit(2);
-            })
-        });
-    let placement: Option<policy::PlacementChoice> = args
-        .iter()
-        .position(|a| a == "--placement")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            policy::PlacementChoice::parse(v).unwrap_or_else(|| {
-                eprintln!("--placement expects first_alive|mtbf_aware|rack_aware, got '{v}'");
-                std::process::exit(2);
-            })
-        });
-    let ops = operands(&args[1..]);
-    let mut scale = if quick { Scale::quick() } else { Scale::full() };
-    scale.jobs = jobs;
-    scale.mtbf = mtbf;
-    scale.fault_seed = fault_seed;
-    scale.placement = placement;
+    let (flags, ops) = parse_args(&args[1..]).unwrap_or_else(|msg| fail(&msg));
+    let out_dir = flags.out.unwrap_or_else(|| PathBuf::from("results"));
+    let trace_path = flags.trace.as_deref();
+    let mut scale = if flags.quick {
+        Scale::quick()
+    } else {
+        Scale::full()
+    };
+    scale.jobs = flags.jobs.unwrap_or(0);
+    scale.mtbf = flags.mtbf;
+    scale.fault_seed = flags.fault_seed;
+    scale.placement = flags.placement;
 
     // Refuse --trace where it would be silently ignored. Figure sweeps
     // aggregate thousands of cells, so study ids trace their
@@ -105,12 +58,11 @@ fn main() {
         "run" | "gantt" | "protocol" | "all" | "ablations" | "extensions" | "faults" | "policy"
     ) || experiments::studies::has_study(&args[0]);
     if trace_path.is_some() && !traceable {
-        eprintln!(
+        fail(
             "--trace is supported by 'swapsim run', 'swapsim gantt', 'swapsim protocol', \
              batch commands (all/ablations/extensions), and swept study ids; \
-             use 'swapsim trace [scenario.json]' for the full export set"
+             use 'swapsim trace [scenario.json]' for the full export set",
         );
-        std::process::exit(2);
     }
 
     match args[0].as_str() {
@@ -140,25 +92,19 @@ fn main() {
             println!("  protocol  simulate one manager decision round through the link DES");
             println!("  faults    compare strategies under deterministic fault injection");
         }
-        "all" => run_figures(
-            &ALL_FIGURES,
-            &scale,
-            &out_dir,
-            trace_path.as_deref(),
-            Some("all"),
-        ),
+        "all" => run_figures(&ALL_FIGURES, &scale, &out_dir, trace_path, Some("all")),
         "ablations" => run_figures(
             &ALL_ABLATIONS,
             &scale,
             &out_dir,
-            trace_path.as_deref(),
+            trace_path,
             Some("ablations"),
         ),
         "extensions" => run_figures(
             &ALL_EXTENSIONS,
             &scale,
             &out_dir,
-            trace_path.as_deref(),
+            trace_path,
             Some("extensions"),
         ),
         "policy" => {
@@ -168,16 +114,16 @@ fn main() {
             // evaluate a custom swapping policy (serde JSON of PolicyParams).
             match ops.first().copied() {
                 Some("placements") => {
-                    let m: f64 = mtbf.or(operand(&ops, 1, "mtbf")).unwrap_or(3_000.0);
+                    let m: f64 = flags.mtbf.or(operand(&ops, 1, "mtbf")).unwrap_or(3_000.0);
                     let duty: f64 = operand(&ops, 2, "duty").unwrap_or(0.5);
                     let state: f64 = operand(&ops, 3, "state_bytes").unwrap_or(1e8);
                     run_placement_tournament(
                         m,
-                        fault_seed.unwrap_or(0),
+                        flags.fault_seed.unwrap_or(0),
                         duty,
                         state,
                         &scale,
-                        trace_path.as_deref(),
+                        trace_path,
                     );
                 }
                 Some("--template") | None => {
@@ -191,15 +137,7 @@ fn main() {
                     eprintln!("\n# save as policy.json, edit, then: swapsim policy policy.json");
                 }
                 Some(path) => {
-                    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                        eprintln!("cannot read {path}: {e}");
-                        std::process::exit(2);
-                    });
-                    let policy: swap_core::PolicyParams = serde_json::from_str(&text)
-                        .unwrap_or_else(|e| {
-                            eprintln!("{path} is not a valid PolicyParams JSON: {e}");
-                            std::process::exit(2);
-                        });
+                    let policy = read_json(path, "a valid PolicyParams JSON");
                     let duty: f64 = operand(&ops, 1, "duty").unwrap_or(0.5);
                     let state: f64 = operand(&ops, 2, "state_bytes").unwrap_or(1e8);
                     run_policy_eval(policy, duty, state, &scale);
@@ -216,32 +154,26 @@ fn main() {
         }
         "run" => {
             // swapsim run <scenario.json>: execute a scenario file.
-            let path = ops.first().unwrap_or_else(|| {
-                eprintln!("usage: swapsim run <scenario.json>");
-                std::process::exit(2);
-            });
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            });
-            let mut scenario: experiments::scenario::Scenario = serde_json::from_str(&text)
-                .unwrap_or_else(|e| {
-                    eprintln!("{path} is not a valid scenario: {e}");
-                    std::process::exit(2);
-                });
+            let path = ops
+                .first()
+                .unwrap_or_else(|| fail("usage: swapsim run <scenario.json>"));
+            let mut scenario: experiments::scenario::Scenario = read_json(path, "a valid scenario");
             // An explicit --jobs overrides the scenario document's knob,
             // and --mtbf/--fault-seed override its faults block
             // (--mtbf 0 turns fault injection off entirely).
-            if args.iter().any(|a| a == "--jobs") {
+            if let Some(jobs) = flags.jobs {
                 scenario.jobs = jobs;
             }
-            if let Some(m) = mtbf {
-                scenario.faults = Some(faults::FaultSpec::crashes_only(m, fault_seed.unwrap_or(0)));
-            } else if let (Some(fs), Some(s)) = (fault_seed, scenario.faults.as_mut()) {
+            if let Some(m) = flags.mtbf {
+                scenario.faults = Some(faults::FaultSpec::crashes_only(
+                    m,
+                    flags.fault_seed.unwrap_or(0),
+                ));
+            } else if let (Some(fs), Some(s)) = (flags.fault_seed, scenario.faults.as_mut()) {
                 s.fault_seed = fs;
             }
             let t0 = Instant::now();
-            let results = match &trace_path {
+            let results = match trace_path {
                 Some(path) => {
                     let (results, bundle) = scenario.run_traced();
                     write_trace_file(&bundle, path);
@@ -272,26 +204,17 @@ fn main() {
             // run a scenario (the template when no file is given) with
             // tracing on and export every format.
             let mut scenario = match ops.first() {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                        eprintln!("cannot read {path}: {e}");
-                        std::process::exit(2);
-                    });
-                    serde_json::from_str(&text).unwrap_or_else(|e| {
-                        eprintln!("{path} is not a valid scenario: {e}");
-                        std::process::exit(2);
-                    })
-                }
+                Some(path) => read_json(path, "a valid scenario"),
                 None => {
                     let mut s = experiments::scenario::Scenario::template();
-                    if quick {
+                    if flags.quick {
                         s.replications = 2;
                         s.app.iterations = s.app.iterations.min(scale.iterations);
                     }
                     s
                 }
             };
-            if args.iter().any(|a| a == "--jobs") {
+            if let Some(jobs) = flags.jobs {
                 scenario.jobs = jobs;
             }
             let t0 = Instant::now();
@@ -387,7 +310,7 @@ fn main() {
             );
             print!("{}", obs::audit::render(&bundle));
             println!("{}", obs::Metrics::from_bundle(&bundle).render());
-            if let Some(path) = &trace_path {
+            if let Some(path) = trace_path {
                 write_trace_file(&bundle, path);
             }
         }
@@ -395,16 +318,16 @@ fn main() {
             // swapsim faults [mtbf] [duty] [state_bytes]: every strategy
             // against deterministic crash injection at one operating
             // point, with failure/recovery accounting.
-            let m: f64 = mtbf.or(operand(&ops, 0, "mtbf")).unwrap_or(3_000.0);
+            let m: f64 = flags.mtbf.or(operand(&ops, 0, "mtbf")).unwrap_or(3_000.0);
             let duty: f64 = operand(&ops, 1, "duty").unwrap_or(0.5);
             let state: f64 = operand(&ops, 2, "state_bytes").unwrap_or(1e8);
             run_faults_compare(
                 m,
-                fault_seed.unwrap_or(0),
+                flags.fault_seed.unwrap_or(0),
                 duty,
                 state,
                 &scale,
-                trace_path.as_deref(),
+                trace_path,
             );
         }
         "tune" => {
@@ -453,15 +376,11 @@ fn main() {
             let strategy_name = ops.first().copied().unwrap_or("swap");
             let duty: f64 = operand(&ops, 1, "duty").unwrap_or(0.5);
             let seed: u64 = operand(&ops, 2, "seed").unwrap_or(0);
-            run_gantt(strategy_name, duty, seed, &scale, trace_path.as_deref());
+            run_gantt(strategy_name, duty, seed, &scale, trace_path);
         }
         "report" => {
             let t0 = Instant::now();
-            // Self-tuning loop: a previous report run's timing artifacts
-            // in the same output directory replace the static weight
-            // table, so the queue orders figures by *measured* cost.
-            let weights = Weights::from_dir(&out_dir, &REPORT_FIGURES);
-            let (checks, generated) = run_report_timed_with(&scale, &weights);
+            let (checks, generated) = run_report(&scale);
             let md = render_markdown(&checks);
             std::fs::create_dir_all(&out_dir).expect("cannot create output directory");
             let path = out_dir.join("report.md");
@@ -499,7 +418,7 @@ fn main() {
             || ALL_ABLATIONS.contains(&id)
             || ALL_EXTENSIONS.contains(&id) =>
         {
-            run_figures(&[id], &scale, &out_dir, trace_path.as_deref(), None);
+            run_figures(&[id], &scale, &out_dir, trace_path, None);
         }
         other => {
             eprintln!("unknown command '{other}'");
@@ -558,8 +477,7 @@ fn emit_figure(
     out_dir: &Path,
 ) -> (GeneratedFigure, experiments::output::FigureArtifacts) {
     let Some(generated) = generated else {
-        eprintln!("unknown figure id '{id}'");
-        std::process::exit(2);
+        fail(&format!("unknown figure id '{id}'"));
     };
     let artifacts = experiments::output::write_artifacts(
         out_dir,
@@ -853,10 +771,9 @@ fn run_gantt(strategy_name: &str, duty: f64, seed: u64, scale: &Scale, trace_pat
         "friendly" => (Box::new(Swap::friendly()), 32),
         "cr" => (Box::new(Cr::greedy()), 32),
         "dlb+swap" => (Box::new(DlbSwap::greedy()), 32),
-        other => {
-            eprintln!("unknown strategy '{other}' (nothing|dlb|swap|safe|friendly|cr|dlb+swap)");
-            std::process::exit(2);
-        }
+        other => fail(&format!(
+            "unknown strategy '{other}' (nothing|dlb|swap|safe|friendly|cr|dlb+swap)"
+        )),
     };
     let mut app = simulator::AppSpec::hpdc03(4, 1.0e6);
     app.iterations = scale.iterations;
@@ -896,31 +813,76 @@ fn write_trace_file(bundle: &obs::TraceBundle, path: &Path) {
     );
 }
 
-/// Flags that take a value; the value is part of the flag, never an
-/// operand.
-const VALUE_FLAGS: [&str; 6] = [
-    "--out",
-    "--jobs",
-    "--trace",
-    "--mtbf",
-    "--fault-seed",
-    "--placement",
+/// What a command line sets besides its operands.
+#[derive(Default)]
+struct Flags {
+    quick: bool,
+    out: Option<PathBuf>,
+    jobs: Option<usize>,
+    trace: Option<PathBuf>,
+    mtbf: Option<f64>,
+    fault_seed: Option<u64>,
+    placement: Option<policy::PlacementChoice>,
+}
+
+/// Stores a flag's value in [`Flags`]; `None` when the value does not
+/// parse.
+type Store = fn(&mut Flags, &str) -> Option<()>;
+
+/// Every flag that takes a value: its name, what the value must be, and
+/// where it goes. The value is part of the flag, never an operand.
+const VALUE_FLAGS: [(&str, &str, Store); 6] = [
+    ("--out", "a directory", |f, v| {
+        v.parse().ok().map(|p| f.out = Some(p))
+    }),
+    ("--jobs", "a number (0 = auto)", |f, v| {
+        v.parse().ok().map(|j| f.jobs = Some(j))
+    }),
+    ("--trace", "a path", |f, v| {
+        v.parse().ok().map(|p| f.trace = Some(p))
+    }),
+    ("--mtbf", "seconds (0 = faults off)", |f, v| {
+        v.parse().ok().map(|m| f.mtbf = Some(m))
+    }),
+    ("--fault-seed", "an integer", |f, v| {
+        v.parse().ok().map(|s| f.fault_seed = Some(s))
+    }),
+    (
+        "--placement",
+        "first_alive|mtbf_aware|rack_aware",
+        |f, v| policy::PlacementChoice::parse(v).map(|p| f.placement = Some(p)),
+    ),
 ];
 
-/// A command's operands: its arguments without `--quick` and without
-/// each value-taking flag and its value, in order. Flags may therefore
-/// sit before, between or after the operands.
-fn operands(args: &[String]) -> Vec<&str> {
+/// Splits a command's arguments (command excluded) into its flags and
+/// its operands, in order. Flags may sit before, between or after the
+/// operands; a repeated flag keeps its first value. Returns the message
+/// to exit with when a value flag ends the line or its value does not
+/// parse.
+fn parse_args(args: &[String]) -> Result<(Flags, Vec<&str>), String> {
+    let mut flags = Flags::default();
+    let mut values = [None; VALUE_FLAGS.len()];
     let mut ops = Vec::new();
-    let mut rest = args.iter();
+    let mut rest = args.iter().map(String::as_str);
     while let Some(a) = rest.next() {
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            rest.next();
-        } else if a != "--quick" {
-            ops.push(a.as_str());
+        match VALUE_FLAGS.iter().position(|&(flag, ..)| flag == a) {
+            Some(i) => {
+                let (flag, what, _) = VALUE_FLAGS[i];
+                let v = rest
+                    .next()
+                    .ok_or_else(|| format!("{flag} expects {what}, got nothing"))?;
+                values[i].get_or_insert(v);
+            }
+            None if a == "--quick" => flags.quick = true,
+            None => ops.push(a),
         }
     }
-    ops
+    for (&(flag, what, store), v) in VALUE_FLAGS.iter().zip(values) {
+        if let Some(v) = v {
+            store(&mut flags, v).ok_or_else(|| format!("{flag} expects {what}, got '{v}'"))?;
+        }
+    }
+    Ok((flags, ops))
 }
 
 /// Operand `i` parsed as `T`, or `None` when there are fewer operands.
@@ -928,10 +890,26 @@ fn operands(args: &[String]) -> Vec<&str> {
 fn operand<T: std::str::FromStr>(ops: &[&str], i: usize, name: &str) -> Option<T> {
     let s = ops.get(i)?;
     let v = s.parse().unwrap_or_else(|_| {
-        eprintln!("{name} expects {}, got '{s}'", std::any::type_name::<T>());
-        std::process::exit(2);
+        fail(&format!(
+            "{name} expects {}, got '{s}'",
+            std::any::type_name::<T>()
+        ))
     });
     Some(v)
+}
+
+/// Reads the JSON document at `path` as a `T`; exits 2 when the file
+/// cannot be read or is not `what`.
+fn read_json<T: serde::de::DeserializeOwned>(path: &str, what: &str) -> T {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    serde_json::from_str(&text).unwrap_or_else(|e| fail(&format!("{path} is not {what}: {e}")))
+}
+
+/// Prints `msg` to stderr and exits 2, the code for bad input.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 fn usage_and_exit() -> ! {
@@ -941,12 +919,19 @@ fn usage_and_exit() -> ! {
 
 #[cfg(test)]
 mod tests {
-    use super::operands;
+    use super::parse_args;
 
-    /// The operands of a whole command line (command first).
-    fn ops(line: &str) -> Vec<String> {
+    /// The flags and operands of a whole command line (command first),
+    /// or the message it exits 2 with.
+    fn parse(line: &str) -> Result<(super::Flags, Vec<String>), String> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-        operands(&args[1..]).into_iter().map(String::from).collect()
+        let (flags, ops) = parse_args(&args[1..])?;
+        Ok((flags, ops.into_iter().map(String::from).collect()))
+    }
+
+    /// The operands of a whole command line.
+    fn ops(line: &str) -> Vec<String> {
+        parse(line).expect("parses").1
     }
 
     #[test]
@@ -973,5 +958,47 @@ mod tests {
         );
         // Other flags stay operands, which `policy --template` reads.
         assert_eq!(ops("policy --template"), ["--template"]);
+    }
+
+    #[test]
+    fn a_value_flag_needs_its_value() {
+        // Each of these once took a default: `fig4 --quick --out` wrote
+        // into results/ and `compare --jobs` ran at --jobs 0.
+        for flag in [
+            "--out",
+            "--jobs",
+            "--trace",
+            "--mtbf",
+            "--fault-seed",
+            "--placement",
+        ] {
+            let msg = parse(&format!("fig4 --quick {flag}")).err().expect(flag);
+            assert!(msg.starts_with(&format!("{flag} expects ")), "{msg}");
+            assert!(msg.ends_with(", got nothing"), "{msg}");
+        }
+        // A bad value keeps its message.
+        let err = |line| parse(line).err().expect(line);
+        assert_eq!(
+            err("compare --jobs x"),
+            "--jobs expects a number (0 = auto), got 'x'"
+        );
+        assert_eq!(
+            err("faults --mtbf abc"),
+            "--mtbf expects seconds (0 = faults off), got 'abc'"
+        );
+        assert_eq!(
+            err("faults --fault-seed -1"),
+            "--fault-seed expects an integer, got '-1'"
+        );
+        assert_eq!(
+            err("ext_faults --placement nope"),
+            "--placement expects first_alive|mtbf_aware|rack_aware, got 'nope'"
+        );
+        // Values reach their fields; the first of a repeated flag counts.
+        let (f, _) = parse("run s.json --jobs 3 --jobs 5 --out d --placement rack_aware").unwrap();
+        assert_eq!(f.jobs, Some(3));
+        assert_eq!(f.out.as_deref(), Some(std::path::Path::new("d")));
+        assert_eq!(f.placement, Some(policy::PlacementChoice::RackAware));
+        assert!(!f.quick && f.mtbf.is_none() && f.trace.is_none());
     }
 }

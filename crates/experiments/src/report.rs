@@ -7,7 +7,7 @@
 
 use crate::config::Scale;
 use crate::output::FigureData;
-use crate::schedule::{self, GeneratedFigure, Weights};
+use crate::schedule::{self, GeneratedFigure};
 use loadmodel::stats;
 use serde::{Deserialize, Serialize};
 use simkit::rng::rng;
@@ -117,31 +117,14 @@ pub const REPORT_FIGURES: [&str; 10] = [
 
 /// Runs every check at the given scale. Expensive figures are generated
 /// once — all through one shared worker-pool queue ([`schedule`]) — and
-/// reused across their checks.
-pub fn run_report(scale: &Scale) -> Vec<Check> {
-    run_report_timed(scale).0
-}
-
-/// [`run_report`] plus the full per-figure generation record from the
-/// shared queue — timing summaries, study traces, and metrics — in
+/// reused across their checks. Also returns the full per-figure
+/// generation record — timing summaries, study traces, and metrics — in
 /// [`REPORT_FIGURES`] order (for the `<id>.timing.json` /
 /// `<id>.metrics.json` artifacts and the driver's utilization line).
-/// The checks are byte-identical to [`run_report`]'s regardless of
-/// `scale.jobs`.
-pub fn run_report_timed(scale: &Scale) -> (Vec<Check>, Vec<GeneratedFigure>) {
-    run_report_timed_with(scale, &Weights::static_table())
-}
-
-/// [`run_report_timed`] under an explicit weight table, so the driver
-/// can feed a previous run's timing artifacts back into the queue order
-/// ([`Weights::from_dir`]). The checks and every deterministic artifact
-/// stay byte-identical no matter the weights; only scheduling changes.
-pub fn run_report_timed_with(
-    scale: &Scale,
-    weights: &Weights,
-) -> (Vec<Check>, Vec<GeneratedFigure>) {
+/// The checks are byte-identical regardless of `scale.jobs`.
+pub fn run_report(scale: &Scale) -> (Vec<Check>, Vec<GeneratedFigure>) {
     let mut generated: Vec<GeneratedFigure> = Vec::with_capacity(REPORT_FIGURES.len());
-    schedule::generate_each_with(&REPORT_FIGURES, scale, weights, |_, g| {
+    schedule::generate_each(&REPORT_FIGURES, scale, |_, g| {
         generated.push(g.expect("every REPORT_FIGURES id resolves to a generator"));
     });
     let fig = |id: &str| -> &FigureData {
@@ -414,7 +397,7 @@ mod tests {
             fault_seed: None,
             placement: None,
         };
-        let checks = run_report(&scale);
+        let (checks, _) = run_report(&scale);
         assert_eq!(checks.len(), 14);
         let failed: Vec<&Check> = checks.iter().filter(|c| !c.pass).collect();
         // Deterministic analytic checks must always pass.

@@ -12,17 +12,13 @@
 //! pull items from the next figure instead of idling.
 //!
 //! Queue order is **longest-figure-first**: figures are assigned batch
-//! priorities by descending weight, the classic LPT heuristic that
+//! priorities by descending [`weight`], the classic LPT heuristic that
 //! minimizes the makespan tail (the same reasoning the related
-//! malleability work applies to global job queues). Weights come from a
-//! [`Weights`] table: the hand-measured static ranking of [`weight`] by
-//! default, or — when a previous run's `<id>.timing.json` artifacts are
-//! on disk — each figure's *measured* serial-equivalent compute seconds,
-//! so the scheduler tunes its own queue order from its own timing data
-//! ([`Weights::from_dir`]). Each figure records into its own
-//! [`timing::Collection`], so `<id>.timing.json` stays per-figure even
-//! though the workers are shared — which is exactly what makes the
-//! self-tuning loop close.
+//! malleability work applies to global job queues). The weights are a
+//! fixed table, so a run's schedule depends only on its arguments, never
+//! on what an earlier run left in the output directory. Each figure
+//! records into its own [`timing::Collection`], so `<id>.timing.json`
+//! stays per-figure even though the workers are shared.
 //!
 //! Alongside the payload, every figure with a representative study
 //! scenario ([`crate::studies`]) also gets a deterministic trace bundle
@@ -45,8 +41,6 @@ use crate::output::FigureData;
 use crate::studies;
 use crate::timing::{self, TimingSummary};
 use simkit::pool::WorkerPool;
-use std::collections::BTreeMap;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -68,8 +62,8 @@ pub struct GeneratedFigure {
 /// global queue longest-first. The values are a coarse ranking measured
 /// from `<id>.timing.json` at full scale, not a promise — anything
 /// unknown lands mid-pack, and the analytic figures (no sweeps) go
-/// last. [`Weights::from_dir`] replaces this table with live
-/// measurements when a previous run's timing artifacts are available.
+/// last. The ranking only orders work: outputs are byte-identical under
+/// any order.
 pub fn weight(id: &str) -> u64 {
     match id {
         "fig6" => 100,
@@ -80,71 +74,6 @@ pub fn weight(id: &str) -> u64 {
         "fig4" | "fig9" => 45,
         "fig1" | "fig2" | "fig3" => 1,
         _ => 30,
-    }
-}
-
-/// Queue weights for the LPT ordering: measured compute seconds from a
-/// previous run's `<id>.timing.json` artifacts where available, the
-/// static [`weight`] table otherwise.
-#[derive(Clone, Debug, Default)]
-pub struct Weights {
-    /// Measured serial-equivalent compute seconds by figure id.
-    measured: BTreeMap<String, f64>,
-}
-
-impl Weights {
-    /// The hand-measured static ranking — used on first runs, when no
-    /// timing artifacts exist yet.
-    pub fn static_table() -> Self {
-        Weights::default()
-    }
-
-    /// Loads measured weights from `<id>.timing.json` files in `dir` for
-    /// the given ids. Files that are missing, unreadable, mislabelled,
-    /// or report no compute time are skipped — the static table covers
-    /// those ids — so a partially populated or stale output directory
-    /// degrades gracefully instead of failing the run.
-    pub fn from_dir(dir: &Path, ids: &[&str]) -> Self {
-        let mut measured = BTreeMap::new();
-        for &id in ids {
-            let path = dir.join(format!("{id}.timing.json"));
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            let Ok(summary) = serde_json::from_str::<TimingSummary>(&text) else {
-                continue;
-            };
-            if summary.id == id && summary.compute_secs > 0.0 {
-                measured.insert(id.to_owned(), summary.compute_secs);
-            }
-        }
-        Weights { measured }
-    }
-
-    /// Number of ids with a measured weight.
-    pub fn measured_count(&self) -> usize {
-        self.measured.len()
-    }
-
-    /// Effective queue weight for an id: measured compute seconds when
-    /// known; otherwise the static rank, rescaled by the mean
-    /// measured/static ratio so the two unit systems interleave sanely
-    /// when only some ids have measurements.
-    pub fn weight_of(&self, id: &str) -> f64 {
-        if let Some(&secs) = self.measured.get(id) {
-            return secs;
-        }
-        let calibration = if self.measured.is_empty() {
-            1.0
-        } else {
-            let sum: f64 = self
-                .measured
-                .iter()
-                .map(|(mid, &secs)| secs / weight(mid) as f64)
-                .sum();
-            sum / self.measured.len() as f64
-        };
-        weight(id) as f64 * calibration
     }
 }
 
@@ -187,33 +116,18 @@ fn generate_with(
     })
 }
 
-/// [`generate_each_with`] under the static weight table.
-pub fn generate_each(
-    ids: &[&str],
-    scale: &Scale,
-    on_done: impl FnMut(&str, Option<GeneratedFigure>),
-) {
-    generate_each_with(ids, scale, &Weights::static_table(), on_done);
-}
-
 /// Generates every id in `ids` through one shared worker pool
-/// (`scale.jobs` workers), enqueueing the heaviest figures first
-/// according to `weights`, and calls `on_done(id, generated)` **in the
-/// original `ids` order** as results become available — so a driver can
-/// stream artifacts to disk in a stable order while later figures are
-/// still computing.
-///
-/// When `weights` carries measurements from a previous run, the chosen
-/// LPT order is logged to stderr (prefixed `schedule: self-tuned`) so
-/// the effect of the self-tuning loop is visible; the figures' outputs
-/// are byte-identical either way.
+/// (`scale.jobs` workers), enqueueing the heaviest figures first by
+/// [`weight`], and calls `on_done(id, generated)` **in the original
+/// `ids` order** as results become available — so a driver can stream
+/// artifacts to disk in a stable order while later figures are still
+/// computing.
 ///
 /// Unknown ids yield `None`. A panicking generator propagates after the
 /// preceding ids' callbacks have run.
-pub fn generate_each_with(
+pub fn generate_each(
     ids: &[&str],
     scale: &Scale,
-    weights: &Weights,
     mut on_done: impl FnMut(&str, Option<GeneratedFigure>),
 ) {
     let pool = Arc::new(WorkerPool::new(scale.jobs));
@@ -221,20 +135,7 @@ pub fn generate_each_with(
     // sit at the front of the shared queue (LPT), ties broken by the
     // caller's ordering for stability.
     let mut rank: Vec<usize> = (0..ids.len()).collect();
-    rank.sort_by(|&a, &b| {
-        weights
-            .weight_of(ids[b])
-            .partial_cmp(&weights.weight_of(ids[a]))
-            .expect("weights are finite")
-    });
-    if weights.measured_count() > 0 {
-        let order: Vec<&str> = rank.iter().map(|&i| ids[i]).collect();
-        eprintln!(
-            "schedule: self-tuned LPT order from {} timing artifact(s): {}",
-            weights.measured_count(),
-            order.join(" > ")
-        );
-    }
+    rank.sort_by_key(|&i| std::cmp::Reverse(weight(ids[i])));
     let mut priority = vec![0u64; ids.len()];
     for (p, &i) in rank.iter().enumerate() {
         priority[i] = p as u64;
@@ -345,82 +246,5 @@ mod tests {
         assert!(weight("fig6") > weight("fig4"));
         assert!(weight("fig4") > weight("fig1"));
         assert_eq!(weight("something_new"), 30);
-    }
-
-    #[test]
-    fn weights_prefer_measured_seconds_and_calibrate_the_rest() {
-        let dir = std::env::temp_dir().join(format!("swapsim-weights-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // A previous "run" where fig4 measured 10× slower than fig6 —
-        // the opposite of the static table's ordering.
-        for (id, secs) in [("fig4", 50.0), ("fig6", 5.0)] {
-            let summary = TimingSummary {
-                id: id.to_owned(),
-                jobs_requested: 4,
-                jobs_effective: 4,
-                seeds: 10,
-                compute_secs: secs,
-                elapsed_secs: secs / 4.0,
-                speedup: 4.0,
-                worker_busy_secs: vec![secs / 4.0; 4],
-                busy_secs: secs,
-                utilization: 1.0,
-                cache_hits: 0,
-                cache_misses: 0,
-                points: vec![],
-            };
-            std::fs::write(
-                dir.join(format!("{id}.timing.json")),
-                serde_json::to_string(&summary).unwrap(),
-            )
-            .unwrap();
-        }
-        // A mislabelled artifact must be ignored.
-        std::fs::write(
-            dir.join("fig5.timing.json"),
-            std::fs::read(dir.join("fig4.timing.json")).unwrap(),
-        )
-        .unwrap();
-
-        let w = Weights::from_dir(&dir, &["fig4", "fig5", "fig6", "fig7"]);
-        assert_eq!(w.measured_count(), 2);
-        assert_eq!(w.weight_of("fig4"), 50.0);
-        assert_eq!(w.weight_of("fig6"), 5.0);
-        // Measured data inverts the static fig6 > fig4 ordering.
-        assert!(w.weight_of("fig4") > w.weight_of("fig6"));
-        // Unmeasured ids keep the static ranking among themselves,
-        // rescaled into the measured unit system.
-        let calibration = (50.0 / weight("fig4") as f64 + 5.0 / weight("fig6") as f64) / 2.0;
-        assert!((w.weight_of("fig7") - weight("fig7") as f64 * calibration).abs() < 1e-9);
-        assert!(w.weight_of("fig7") > w.weight_of("fig5"));
-
-        // No artifacts → pure static table.
-        let none = Weights::from_dir(&dir.join("missing"), &["fig4"]);
-        assert_eq!(none.measured_count(), 0);
-        assert_eq!(none.weight_of("fig6"), weight("fig6") as f64);
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn self_tuned_weights_do_not_change_the_payload() {
-        let scale = tiny();
-        let ids = ["fig4", "fig5"];
-        let baseline = generate_set(&ids, &scale);
-        let mut w = Weights::static_table();
-        // Pretend fig5 measured heavier than fig4, flipping the order.
-        w.measured.insert("fig5".into(), 60.0);
-        w.measured.insert("fig4".into(), 1.0);
-        let mut tuned = Vec::new();
-        generate_each_with(&ids, &scale, &w, |_, g| tuned.push(g));
-        for (b, t) in baseline.iter().zip(&tuned) {
-            let (b, t) = (b.as_ref().unwrap(), t.as_ref().unwrap());
-            assert_eq!(b.fig, t.fig);
-            assert_eq!(
-                obs::jsonl::to_jsonl(b.trace.as_ref().unwrap()),
-                obs::jsonl::to_jsonl(t.trace.as_ref().unwrap()),
-                "trace must not depend on queue order"
-            );
-        }
     }
 }

@@ -515,8 +515,8 @@ mod tests {
     #[test]
     fn pre_nesting_artifacts_still_parse() {
         // Artifacts written before the worker-Option / nested / cache
-        // fields existed must deserialize with the serial defaults —
-        // `Weights::from_dir` reads prior runs' timing files.
+        // fields existed must deserialize with the serial defaults, so
+        // timing files from older builds still read back.
         let old = r#"{"series":"swap","x":1.5,"wall_secs":2.0,"worker":3,"start_secs":0.1}"#;
         let p: PointTiming = serde_json::from_str(old).unwrap();
         assert_eq!(p.worker, Some(3));

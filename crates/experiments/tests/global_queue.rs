@@ -4,7 +4,7 @@
 //! extended `<id>.timing.json` schema carries the per-point straggler
 //! fields.
 
-use experiments::report::{render_markdown, run_report_timed, REPORT_FIGURES};
+use experiments::report::{render_markdown, run_report, REPORT_FIGURES};
 use experiments::schedule;
 use experiments::Scale;
 
@@ -22,9 +22,9 @@ fn scale_with_jobs(jobs: usize) -> Scale {
 
 #[test]
 fn report_markdown_is_byte_identical_across_jobs() {
-    let (serial_checks, serial_gen) = run_report_timed(&scale_with_jobs(1));
+    let (serial_checks, serial_gen) = run_report(&scale_with_jobs(1));
     let serial_md = render_markdown(&serial_checks);
-    let (pooled_checks, pooled_gen) = run_report_timed(&scale_with_jobs(4));
+    let (pooled_checks, pooled_gen) = run_report(&scale_with_jobs(4));
     let pooled_md = render_markdown(&pooled_checks);
     assert_eq!(serial_md, pooled_md, "report.md must not depend on --jobs");
     // Check payloads, not just the rendering: ids, claims and measured

@@ -184,13 +184,21 @@ mod tests {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
 
+    /// Communicator sizes the rooted collectives are checked at, each
+    /// from every root.
+    const SIZES: [usize; 7] = [1, 2, 3, 4, 5, 7, 8];
+
     #[test]
     fn broadcast_reaches_all_ranks() {
-        let out = with_comm(4, |rank, comm| {
-            let v = if rank == 1 { 99u64 } else { 0 };
-            comm.broadcast(1, &v)
-        });
-        assert_eq!(out, vec![99, 99, 99, 99]);
+        for n in SIZES {
+            for root in 0..n {
+                let out = with_comm(n, move |rank, comm| {
+                    let v = if rank == root { root as u64 + 100 } else { 0 };
+                    comm.broadcast(root, &v)
+                });
+                assert_eq!(out, vec![root as u64 + 100; n], "n={n} root={root}");
+            }
+        }
     }
 
     #[test]
@@ -220,11 +228,20 @@ mod tests {
 
     #[test]
     fn reduce_min_at_root() {
-        let out = with_comm(4, |rank, comm| {
-            comm.reduce(2, &((rank as i64 - 2).abs()), i64::min)
-        });
-        assert_eq!(out[2], Some(0));
-        assert_eq!(out[0], None);
+        for n in SIZES {
+            for root in 0..n {
+                // The minimum (0) sits on the rank after the root, so the
+                // root must gather it from another rank when n > 1.
+                let out = with_comm(n, move |rank, comm| {
+                    let v = (rank as i64 - root as i64 - 1).rem_euclid(n as i64);
+                    comm.reduce(root, &v, i64::min)
+                });
+                for (rank, v) in out.into_iter().enumerate() {
+                    let want = (rank == root).then_some(0);
+                    assert_eq!(v, want, "n={n} root={root} rank={rank}");
+                }
+            }
+        }
     }
 
     #[test]

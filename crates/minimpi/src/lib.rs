@@ -37,7 +37,6 @@
 pub mod app;
 pub mod apps;
 pub mod collective;
-pub mod collective_tree;
 pub mod comm;
 pub mod load;
 pub mod msg;

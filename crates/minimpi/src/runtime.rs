@@ -1192,27 +1192,51 @@ mod tests {
     fn charged_swap_costs_slow_the_run_measurably() {
         // Virtual state of 60 MB over the 6 MB/s link = 10 virtual
         // seconds per swap = 10 ms wall at 1000x compression. Forcing a
-        // swap every iteration for 8 iterations adds >= ~70 ms.
-        let mut base = RuntimeConfig::new(4, 2, 8);
-        base.decider = Decider::ForceEvery(1);
-        base.compression = 1000.0;
-        base.state_size_override = Some(6e7);
-        let mut charged = base.clone();
-        charged.charge_swap_cost = true;
+        // swap after each of the first 7 of 8 iterations charges 7
+        // pauses, each slept by the incoming process on its round's
+        // critical path.
+        let cost = SwapCost::new(1e-4, 6e6);
+        let swap_secs = cost.swap_time(6e7);
+        let run = |charge_swap_cost: bool| {
+            let mut cfg = RuntimeConfig::new(4, 2, 8);
+            cfg.decider = Decider::ForceEvery(1);
+            cfg.compression = 1000.0;
+            cfg.cost = cost;
+            cfg.state_size_override = Some(6e7);
+            cfg.charge_swap_cost = charge_swap_cost;
+            let (sink, collector) = obs::SharedSink::collector();
+            cfg.trace = Some(sink);
+            let report = run_iterative(cfg, SpinApp { spin_ms: 1 });
+            let trace = std::sync::Arc::try_unwrap(collector)
+                .expect("all sink handles dropped after the run")
+                .into_trace();
+            let transfers: Vec<f64> = trace
+                .events
+                .iter()
+                .filter_map(|e| match e {
+                    obs::TraceEvent::SwapExec { transfer_secs, .. } => Some(*transfer_secs),
+                    _ => None,
+                })
+                .collect();
+            (report, transfers)
+        };
 
-        let free_run = run_iterative(base, SpinApp { spin_ms: 1 });
-        let paid_run = run_iterative(charged, SpinApp { spin_ms: 1 });
+        let (free_run, free) = run(false);
+        let (paid_run, paid) = run(true);
         // SpinApp's numeric state is wall-clock dependent; compare the
         // structural outcome only.
-        assert!(paid_run.final_states.iter().all(|s| s.iters_done == 8));
-        assert_eq!(free_run.swap_count(), paid_run.swap_count());
-        let delta = paid_run
-            .wall_time
-            .saturating_sub(free_run.wall_time)
-            .as_secs_f64();
+        for r in [&free_run, &paid_run] {
+            assert!(r.final_states.iter().all(|s| s.iters_done == 8));
+            assert_eq!(r.swap_count(), 7);
+        }
+        assert_eq!(free, [0.0; 7], "a free swap transfers in no time");
+        assert_eq!(paid, [swap_secs; 7], "a charged swap pays the link");
+        // Sleeps never end early, so the bound holds on any host.
+        let floor = 7.0 * swap_secs / 1000.0;
+        let wall = paid_run.wall_time.as_secs_f64();
         assert!(
-            delta > 0.05,
-            "charging 7 swaps x 10 ms changed wall time by only {delta:.3}s"
+            wall >= floor,
+            "7 charged swaps of {swap_secs} s at 1000x took only {wall:.4} s of wall time"
         );
     }
 

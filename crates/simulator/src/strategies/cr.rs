@@ -158,27 +158,21 @@ impl Strategy for Cr {
                 // for performance.
                 Some(every) => {
                     let every = every.max(1);
-                    // The legacy path keeps the exact modulo trigger; the
-                    // policy path asks for the interval since the last
-                    // durable checkpoint (identical for `FixedInterval`,
-                    // since `ckpt_index` is always a multiple of the
-                    // fixed cadence, but lets `YoungDaly` drift with the
-                    // observed failure rate).
-                    let should_checkpoint = match ctx.policies {
-                        None => completed % every == 0,
-                        Some(ps) => {
-                            let q = policy::CheckpointQuery {
-                                delta_secs: ckpt_write,
-                                mtbf_secs: (failures > 0)
-                                    .then(|| out.end * alloc as f64 / failures as f64),
-                                mean_iter_secs: iter_secs_sum / iters_run as f64,
-                                default_every: every,
-                                n_active: n,
-                            };
-                            completed - ckpt_index >= ps.checkpoint.interval_iters(&q)
-                        }
-                    };
-                    if should_checkpoint && completed < app.iterations {
+                    // Checkpoint once `interval` iterations have passed
+                    // since the last durable one: the plan's fixed cadence,
+                    // or a policy bundle's, which `YoungDaly` lets drift
+                    // with the observed failure rate.
+                    let interval = ctx.policies.map_or(every, |ps| {
+                        ps.checkpoint.interval_iters(&policy::CheckpointQuery {
+                            delta_secs: ckpt_write,
+                            mtbf_secs: (failures > 0)
+                                .then(|| out.end * alloc as f64 / failures as f64),
+                            mean_iter_secs: iter_secs_sum / iters_run as f64,
+                            default_every: every,
+                            n_active: n,
+                        })
+                    });
+                    if completed - ckpt_index >= interval && completed < app.iterations {
                         adapt_time = ckpt_write;
                         ctx.emit(|| obs::TraceEvent::Checkpoint {
                             t: out.end,
