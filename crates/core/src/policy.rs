@@ -276,6 +276,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.payback_threshold, f64::INFINITY);
+        // …and so does one leaving it out.
+        let p: PolicyParams = serde_json::from_str(
+            r#"{"min_process_improvement":0.0,"min_app_improvement":0.0,
+                "history":0.0,"predictor":"LastValue"}"#,
+        )
+        .unwrap();
+        assert_eq!(p.payback_threshold, f64::INFINITY);
     }
 
     #[test]

@@ -37,6 +37,12 @@ fn main() {
     }
 
     let (flags, ops) = parse_args(&args[1..]).unwrap_or_else(|msg| fail(&msg));
+    if let Some(extra) = operand_limit(&args[0], &flags, &ops).and_then(|n| ops.get(n)) {
+        fail(&format!(
+            "swapsim {}: unexpected operand '{extra}'",
+            args[0]
+        ));
+    }
     let out_dir = flags.out.unwrap_or_else(|| PathBuf::from("results"));
     let trace_path = flags.trace.as_deref();
     let mut scale = if flags.quick {
@@ -110,8 +116,9 @@ fn main() {
         "policy" => {
             // swapsim policy placements [mtbf] [duty] [state_bytes]:
             // spare-placement policies head-to-head under faults.
-            // swapsim policy <file.json|--template> [duty] [state_bytes]:
-            // evaluate a custom swapping policy (serde JSON of PolicyParams).
+            // swapsim policy <file.json> [duty] [state_bytes]: evaluate a
+            // custom swapping policy (serde JSON of PolicyParams).
+            // swapsim policy [--template]: print a PolicyParams template.
             match ops.first().copied() {
                 Some("placements") => {
                     let m: f64 = flags.mtbf.or(operand(&ops, 1, "mtbf")).unwrap_or(3_000.0);
@@ -126,7 +133,7 @@ fn main() {
                         trace_path,
                     );
                 }
-                Some("--template") | None => {
+                None => {
                     let template = swap_core::PolicyParams::safe();
                     println!(
                         "{}",
@@ -817,6 +824,7 @@ fn write_trace_file(bundle: &obs::TraceBundle, path: &Path) {
 #[derive(Default)]
 struct Flags {
     quick: bool,
+    template: bool,
     out: Option<PathBuf>,
     jobs: Option<usize>,
     trace: Option<PathBuf>,
@@ -857,8 +865,9 @@ const VALUE_FLAGS: [(&str, &str, Store); 6] = [
 /// Splits a command's arguments (command excluded) into its flags and
 /// its operands, in order. Flags may sit before, between or after the
 /// operands; a repeated flag keeps its first value. Returns the message
-/// to exit with when a value flag ends the line or its value does not
-/// parse.
+/// to exit with when an argument starting with `--` is no flag, or a
+/// value flag ends the line, is followed by another flag, or has a
+/// value that does not parse.
 fn parse_args(args: &[String]) -> Result<(Flags, Vec<&str>), String> {
     let mut flags = Flags::default();
     let mut values = [None; VALUE_FLAGS.len()];
@@ -871,9 +880,14 @@ fn parse_args(args: &[String]) -> Result<(Flags, Vec<&str>), String> {
                 let v = rest
                     .next()
                     .ok_or_else(|| format!("{flag} expects {what}, got nothing"))?;
+                if v.starts_with("--") {
+                    return Err(format!("{flag} expects {what}, got the flag '{v}'"));
+                }
                 values[i].get_or_insert(v);
             }
             None if a == "--quick" => flags.quick = true,
+            None if a == "--template" => flags.template = true,
+            None if a.starts_with("--") => return Err(format!("unknown flag '{a}'")),
             None => ops.push(a),
         }
     }
@@ -896,6 +910,27 @@ fn operand<T: std::str::FromStr>(ops: &[&str], i: usize, name: &str) -> Option<T
         ))
     });
     Some(v)
+}
+
+/// How many operands `cmd` reads, given its flags and operands; `None`
+/// for an unknown command, which gets the usage text instead.
+fn operand_limit(cmd: &str, flags: &Flags, ops: &[&str]) -> Option<usize> {
+    Some(match cmd {
+        "policy" if flags.template => 0,
+        "policy" if ops.first() == Some(&"placements") => 4,
+        "policy" | "faults" | "gantt" => 3,
+        "protocol" | "compare" => 4,
+        "tune" => 2,
+        "run" | "trace" => 1,
+        "list" | "all" | "ablations" | "extensions" | "report" | "scenario" => 0,
+        id if ALL_FIGURES.contains(&id)
+            || ALL_ABLATIONS.contains(&id)
+            || ALL_EXTENSIONS.contains(&id) =>
+        {
+            0
+        }
+        _ => return None,
+    })
 }
 
 /// Reads the JSON document at `path` as a `T`; exits 2 when the file
@@ -956,8 +991,52 @@ mod tests {
             ops("compare 0.5 --out d 1e6 --placement rack_aware 4 32"),
             want
         );
-        // Other flags stay operands, which `policy --template` reads.
-        assert_eq!(ops("policy --template"), ["--template"]);
+        // `--template` is a switch, like `--quick`.
+        let (f, ops) = parse("policy --template").unwrap();
+        assert!(f.template && ops.is_empty());
+    }
+
+    #[test]
+    fn unknown_flags_and_flags_as_values_are_refused() {
+        let err = |line| parse(line).err().expect(line);
+        // `--qiuck` once ran at full scale, and `--out --jobs 2` wrote
+        // into a directory named `--jobs`.
+        assert_eq!(err("fig1 --qiuck --out o"), "unknown flag '--qiuck'");
+        assert_eq!(err("fig4 --"), "unknown flag '--'");
+        assert_eq!(
+            err("fig1 --out --jobs 2"),
+            "--out expects a directory, got the flag '--jobs'"
+        );
+        assert_eq!(
+            err("faults --fault-seed --quick"),
+            "--fault-seed expects an integer, got the flag '--quick'"
+        );
+        // A single dash is a value, however bad.
+        assert_eq!(
+            err("faults --fault-seed -1"),
+            "--fault-seed expects an integer, got '-1'"
+        );
+        assert_eq!(ops("compare -0.5"), ["-0.5"]);
+    }
+
+    #[test]
+    fn each_command_reads_a_fixed_number_of_operands() {
+        let limit = |line: &str| {
+            let (f, ops) = parse(line).expect(line);
+            let cmd = line.split_whitespace().next().unwrap();
+            let ops: Vec<&str> = ops.iter().map(String::as_str).collect();
+            super::operand_limit(cmd, &f, &ops)
+        };
+        assert_eq!(limit("fig1 --quick bogus"), Some(0));
+        assert_eq!(limit("ext_policies"), Some(0));
+        assert_eq!(limit("compare 0.5 1e6 4 32 99 --quick"), Some(4));
+        assert_eq!(limit("policy placements 1500"), Some(4));
+        assert_eq!(limit("policy p.json"), Some(3));
+        assert_eq!(limit("policy --template p.json"), Some(0));
+        assert_eq!(limit("run s.json"), Some(1));
+        assert_eq!(limit("tune"), Some(2));
+        // Unknown commands get the usage text, whatever follows them.
+        assert_eq!(limit("bogus 1 2"), None);
     }
 
     #[test]

@@ -22,12 +22,17 @@ use std::time::Instant;
 
 #[test]
 fn narrow_tournament_beats_the_serial_cell_utilization_ceiling_at_jobs_8() {
-    // Enough work per cell (~0.1 s) that worker wakeup latencies are
-    // noise next to the simulated replications.
+    // Enough work per cell (about 0.1 s of replications in either
+    // build) that worker wake-up latencies are noise next to the
+    // simulated replications. A release build simulates about ten times
+    // faster, so it runs twenty times the iterations over twenty times
+    // the horizon and the crash MTBF (crashes would otherwise end its
+    // runs as early as in a debug build).
+    let work = if cfg!(debug_assertions) { 1 } else { 20 };
     let scale = Scale {
         seeds: 8,
         sweep_points: 2, // validate() floor; the grid below uses one x
-        iterations: 600,
+        iterations: 600 * work,
         jobs: 8,
         mtbf: None,
         fault_seed: None,
@@ -39,11 +44,11 @@ fn narrow_tournament_beats_the_serial_cell_utilization_ceiling_at_jobs_8() {
         link: simkit::link::SharedLink::new(1e-4, 6e6),
         startup_per_process: 0.75,
         load: LoadSpec::OnOff(loadmodel::OnOffSource::for_duty_cycle(0.5, 0.2, 20.0)),
-        horizon: 10_000.0,
+        horizon: 10_000.0 * work as f64,
     };
     let app = AppSpec {
         n_active: 2,
-        iterations: 600,
+        iterations: 600 * work,
         flops_per_proc_iter: 1e9,
         bytes_per_proc_iter: 1e5,
         process_state_bytes: 1e6,
@@ -86,7 +91,8 @@ fn narrow_tournament_beats_the_serial_cell_utilization_ceiling_at_jobs_8() {
     let pool = Arc::new(simkit::pool::WorkerPool::new(scale.jobs));
     let installed = simkit::pool::install(&pool, 0);
     let t0 = Instant::now();
-    let series = grid_sweep(&scale, &cells, &[1_500.0], |c| c.0.to_owned(), eval);
+    let mtbf = 1_500.0 * work as f64;
+    let series = grid_sweep(&scale, &cells, &[mtbf], |c| c.0.to_owned(), eval);
     let elapsed = t0.elapsed().as_secs_f64();
     drop(installed);
     drop(active);

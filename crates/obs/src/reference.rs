@@ -2,7 +2,8 @@
 //! Chrome builder that assembles `Value` trees, a JSONL writer that
 //! serializes one cloned `Record` per line, and a validator that parses
 //! the whole text into a tree before walking it. Property tests hold
-//! the streaming code in `chrome` and `jsonl` to them.
+//! the streaming code in `chrome` and `jsonl` to them, and the streaming
+//! `serde_json` to the tree writer and reader it replaced (`json_tree`).
 
 use crate::chrome::{LINK_TID, MANAGER_TID};
 use crate::event::TraceEvent;
@@ -10,6 +11,11 @@ use crate::jsonl::Record;
 use crate::trace::TraceBundle;
 use serde::value::{to_value, Value};
 use serde::Serialize;
+
+/// `serde_json`'s tree writer and reader, kept as a reference in its
+/// own source tree.
+#[path = "../../../vendor/serde_json/src/tree.rs"]
+mod json_tree;
 
 /// JSONL, one `Record` (cloned label and event) per line.
 pub fn to_jsonl(bundle: &TraceBundle) -> String {
@@ -799,6 +805,33 @@ mod tests {
         })
     }
 
+    /// The streaming `serde_json` writes what the tree writer writes,
+    /// compact and pretty, and reads back what the tree reader reads.
+    fn same_as_tree<T>(value: &T) -> Result<(), TestCaseError>
+    where
+        T: serde::Serialize + serde::de::DeserializeOwned + std::fmt::Debug,
+    {
+        let shown = |r: Result<T, String>| format!("{r:?}");
+        for (text, tree_text) in [
+            (
+                serde_json::to_string(value),
+                super::json_tree::to_string(value),
+            ),
+            (
+                serde_json::to_string_pretty(value),
+                super::json_tree::to_string_pretty(value),
+            ),
+        ] {
+            let text = text.map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(&text, &tree_text);
+            prop_assert_eq!(
+                shown(serde_json::from_str::<T>(&text).map_err(|e| e.to_string())),
+                shown(super::json_tree::from_str::<T>(&text))
+            );
+        }
+        Ok(())
+    }
+
     /// Both validators reach the same verdict: the same count, the same
     /// format error, or (for text that is not JSON) both a syntax error.
     fn agree(text: &str) -> Result<(), String> {
@@ -881,6 +914,21 @@ mod tests {
             let text = chrome::to_chrome_trace(&bundle);
             prop_assert_eq!(&text, &super::to_chrome_trace(&bundle));
             agree(&text).map_err(TestCaseError::fail)?;
+        }
+
+        #[test]
+        fn streaming_serde_matches_the_tree_serde(bundle in bundles()) {
+            for run in &bundle.runs {
+                for event in &run.trace.events {
+                    same_as_tree(event)?;
+                    same_as_tree(&crate::jsonl::Record {
+                        run: run.label.clone(),
+                        seed: run.seed,
+                        event: event.clone(),
+                    })?;
+                }
+            }
+            same_as_tree(&crate::Metrics::from_bundle(&bundle))?;
         }
 
         #[test]
