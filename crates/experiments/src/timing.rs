@@ -18,13 +18,13 @@
 //! speed, while the timing summary goes to a separate
 //! `<id>.timing.json` document.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Wall-clock cost of one `(series, sweep point)` work item.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct PointTiming {
     /// Series label within the figure.
     pub series: String,
@@ -45,22 +45,17 @@ pub struct PointTiming {
     /// collection began.
     pub start_secs: f64,
     /// Nested seed-level fan-out the cell's replications used (1 = the
-    /// per-seed loop stayed serial inside the cell; 0 = the artifact was
-    /// written before nested parallelism existed, which also means
-    /// serial).
-    #[serde(default)]
+    /// per-seed loop stayed serial inside the cell).
     pub nested_jobs: usize,
     /// Realization-cache hits charged to this cell.
-    #[serde(default)]
     pub cache_hits: u64,
     /// Realization-cache misses charged to this cell.
-    #[serde(default)]
     pub cache_misses: u64,
 }
 
 /// Machine-readable timing summary for one figure run, written as
 /// `<id>.timing.json` next to the figure's CSV/JSON payloads.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct TimingSummary {
     /// Figure id.
     pub id: String,
@@ -96,10 +91,8 @@ pub struct TimingSummary {
     /// mean workers idled (too few items, or a straggler point).
     pub utilization: f64,
     /// Realization-cache hits across all cells (sum over `points`).
-    #[serde(default)]
     pub cache_hits: u64,
     /// Realization-cache misses across all cells (sum over `points`).
-    #[serde(default)]
     pub cache_misses: u64,
     /// Per-point costs, in deterministic (series-major) sweep order.
     pub points: Vec<PointTiming>,
@@ -513,30 +506,11 @@ mod tests {
     }
 
     #[test]
-    fn pre_nesting_artifacts_still_parse() {
-        // Artifacts written before the worker-Option / nested / cache
-        // fields existed must deserialize with the serial defaults, so
-        // timing files from older builds still read back.
-        let old = r#"{"series":"swap","x":1.5,"wall_secs":2.0,"worker":3,"start_secs":0.1}"#;
-        let p: PointTiming = serde_json::from_str(old).unwrap();
-        assert_eq!(p.worker, Some(3));
-        assert_eq!(p.nested_jobs, 0);
-        assert_eq!((p.cache_hits, p.cache_misses), (0, 0));
-        // A cell recorded outside any worker round-trips as null.
-        let p = PointTiming {
-            series: "s".into(),
-            x: 0.0,
-            wall_secs: 1.0,
-            worker: None,
-            start_secs: 0.0,
-            nested_jobs: 2,
-            cache_hits: 1,
-            cache_misses: 1,
-        };
-        let json = serde_json::to_string(&p).unwrap();
+    fn a_cell_outside_any_worker_writes_a_null_worker() {
+        let col = Collection::begin("figX", 1, 1);
+        col.expect_items(1);
+        col.record(0, CellCost::serial("s", 0.0, 1.0, None));
+        let json = serde_json::to_string(&col.finish(1.0)).unwrap();
         assert!(json.contains("\"worker\":null"), "{json}");
-        let back: PointTiming = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.worker, None);
-        assert_eq!(back.nested_jobs, 2);
     }
 }

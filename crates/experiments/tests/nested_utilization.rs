@@ -22,13 +22,15 @@ use std::time::Instant;
 
 #[test]
 fn narrow_tournament_beats_the_serial_cell_utilization_ceiling_at_jobs_8() {
-    // Enough work per cell (about 0.1 s of replications in either
-    // build) that worker wake-up latencies are noise next to the
-    // simulated replications. A release build simulates about ten times
-    // faster, so it runs twenty times the iterations over twenty times
-    // the horizon and the crash MTBF (crashes would otherwise end its
-    // runs as early as in a debug build).
-    let work = if cfg!(debug_assertions) { 1 } else { 20 };
+    // Enough work (about 0.15 s of replications in a debug build, 0.1 s
+    // in release) that worker wake-up latencies are noise next to the
+    // simulated replications; on a 2-vCPU host, a quarter of the debug
+    // work let one run in thirty fall below the bound. Each unit of
+    // `work` scales the iterations, the horizon and the crash MTBF
+    // together (crashes would otherwise end longer runs as early as
+    // short ones); a release build simulates about ten times faster, so
+    // it runs five times the debug work.
+    let work = if cfg!(debug_assertions) { 4 } else { 20 };
     let scale = Scale {
         seeds: 8,
         sweep_points: 2, // validate() floor; the grid below uses one x

@@ -331,6 +331,22 @@ mod tests {
     }
 
     #[test]
+    fn a_message_from_one_source_waits_while_another_is_received() {
+        let (router, rxs) = Router::new(3);
+        let mut rxs = rxs.into_iter();
+        let mut c0 = SlotComm::new(0, router.clone(), rxs.next().unwrap());
+        let c1 = SlotComm::new(1, router.clone(), rxs.next().unwrap());
+        let c2 = SlotComm::new(2, router, rxs.next().unwrap());
+        c1.send(0, 7, &11u32);
+        c2.send(0, 7, &22u32);
+        // Slot 1's message arrives first, with the same tag, and waits
+        // in the buffer while slot 2's is received.
+        let from_2: u32 = c0.recv(2, 7);
+        let from_1: u32 = c0.recv(1, 7);
+        assert_eq!((from_2, from_1), (22, 11));
+    }
+
+    #[test]
     fn cross_thread_send_recv() {
         let (c0, mut c1) = pair();
         let t = thread::spawn(move || {

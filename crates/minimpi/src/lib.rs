@@ -40,7 +40,6 @@ pub mod collective;
 pub mod comm;
 pub mod load;
 pub mod msg;
-pub mod nonblocking;
 pub mod report;
 pub mod runtime;
 pub mod state;

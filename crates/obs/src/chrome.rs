@@ -18,11 +18,13 @@
 //! and every string that can need escaping (run labels, collective ops,
 //! policy names, failure details) go through `serde_json`; names built
 //! from static text, integers and enum keys need no escaping and are
-//! written as they are. [`validate_chrome_trace`] checks the result in
-//! one pass over the text, without building a tree.
+//! written as they are. [`validate_chrome_trace`] checks the result as
+//! `serde_json` reads it, once and without building a tree, so the
+//! workspace has one JSON grammar.
 
 use crate::event::TraceEvent;
 use crate::trace::TraceBundle;
+use serde::de::{Any, Deserialize, Deserializer, IgnoredAny, MapAccess, SeqAccess};
 use serde::Serialize;
 use std::borrow::Cow;
 use std::fmt;
@@ -513,321 +515,147 @@ pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
 /// fields the format requires (`ph`/`pid`/`name`, `ts` for non-metadata
 /// phases). Returns the event count.
 ///
-/// One pass over the text, building no tree, with the verdicts of a
-/// parse followed by a walk of the parsed tree: keys and `ph` compare
-/// after unescaping, the first occurrence of a duplicated key wins, and
-/// a syntax error anywhere outranks the first format error.
+/// `serde_json` reads the text once, building no tree, and the check
+/// gives the verdicts of a parse followed by a walk of the parsed tree:
+/// keys and `ph` compare after unescaping, and the first occurrence of
+/// a duplicated key wins. A format error is recorded and the reading
+/// goes on, so a syntax error anywhere outranks it, and every syntax
+/// message is the parser's own.
 pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
-    Scanner { text, pos: 0 }
-        .document()
+    serde_json::from_str::<Verdict>(text)
         .map_err(|e| format!("not JSON: {e}"))?
+        .0
 }
 
-/// What a scanned value was, as far as the format check cares.
-enum Kind<'a> {
-    Str(Cow<'a, str>),
-    Num,
+/// The verdict on a whole trace: its event count, or the first format
+/// error.
+struct Verdict(Result<usize, String>);
+
+impl<'de> Deserialize<'de> for Verdict {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        let mut root = match d.deserialize_any()? {
+            Any::Map(map) => map,
+            other => {
+                ignore(other)?;
+                return Ok(Verdict(Err("top level is not an object".into())));
+            }
+        };
+        let mut events = None;
+        while let Some(key) = root.next_key()? {
+            if key == "traceEvents" && events.is_none() {
+                events = Some(root.next_value::<Events>()?.0);
+            } else {
+                root.skip_value()?;
+            }
+        }
+        Ok(Verdict(
+            events.unwrap_or_else(|| Err("missing traceEvents".into())),
+        ))
+    }
+}
+
+/// The verdict on the `traceEvents` value.
+struct Events(Result<usize, String>);
+
+impl<'de> Deserialize<'de> for Events {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        let mut seq = match d.deserialize_any()? {
+            Any::Seq(seq) => seq,
+            other => {
+                ignore(other)?;
+                return Ok(Events(Err("traceEvents is not an array".into())));
+            }
+        };
+        let (mut count, mut first_error) = (0, None);
+        while let Some(Event(problem)) = seq.next_element()? {
+            if first_error.is_none() {
+                first_error = problem.map(|p| format!("event {count} {p}"));
+            }
+            count += 1;
+        }
+        Ok(Events(first_error.map_or(Ok(count), Err)))
+    }
+}
+
+/// What the format check finds wrong with one event, if anything: the
+/// rest of a message that starts `event <index> `.
+struct Event(Option<String>);
+
+impl<'de> Deserialize<'de> for Event {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        let mut map = match d.deserialize_any()? {
+            Any::Map(map) => map,
+            other => {
+                ignore(other)?;
+                return Ok(Event(Some("is not an object".into())));
+            }
+        };
+        let (mut ph, mut name, mut pid, mut ts) = (None, false, false, None);
+        while let Some(key) = map.next_key()? {
+            match &*key {
+                "ph" if ph.is_none() => ph = Some(map.next_value::<Field>()?),
+                "ts" if ts.is_none() => ts = Some(map.next_value::<Field>()?),
+                key => {
+                    name |= key == "name";
+                    pid |= key == "pid";
+                    map.skip_value()?;
+                }
+            }
+        }
+        let ph = match ph {
+            Some(Field::Str(ph)) if !ph.is_empty() => ph,
+            _ => return Ok(Event(Some("has no ph".into()))),
+        };
+        let problem = if !name {
+            Some(format!("({ph}) missing name"))
+        } else if !pid {
+            Some(format!("({ph}) missing pid"))
+        } else if ph != "M" && !matches!(ts, Some(Field::Number)) {
+            Some(format!("({ph}) missing numeric ts"))
+        } else {
+            None
+        };
+        Ok(Event(problem))
+    }
+}
+
+/// An event field's value, as far as the format check cares.
+enum Field<'de> {
+    Str(Cow<'de, str>),
+    Number,
     Other,
 }
 
-/// A forward-only JSON checker with `serde_json::from_str`'s grammar
-/// and error messages. Its methods return `Err` for a syntax error.
-struct Scanner<'a> {
-    text: &'a str,
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    /// The whole text, returning the format check's verdict.
-    fn document(&mut self) -> Result<Result<usize, String>, String> {
-        self.ws();
-        let verdict = if self.peek() == Some(b'{') {
-            // The verdict on the first `traceEvents` value, once seen.
-            let mut events: Option<Result<usize, String>> = None;
-            self.object(|s, key| {
-                if key != "traceEvents" || events.is_some() {
-                    return s.value().map(drop);
-                }
-                events = Some(if s.peek() == Some(b'[') {
-                    let (mut count, mut first_error) = (0, None);
-                    s.array(|s| {
-                        let error = s.event(count)?;
-                        first_error = first_error.take().or(error);
-                        count += 1;
-                        Ok(())
-                    })?;
-                    first_error.map_or(Ok(count), Err)
-                } else {
-                    s.value()?;
-                    Err("traceEvents is not an array".into())
-                });
-                Ok(())
-            })?;
-            events.unwrap_or_else(|| Err("missing traceEvents".into()))
-        } else {
-            self.value()?;
-            Err("top level is not an object".into())
-        };
-        self.ws();
-        if self.pos != self.text.len() {
-            return Err(format!("trailing characters at byte {}", self.pos));
-        }
-        Ok(verdict)
-    }
-
-    /// Event `i`, returning what the format check finds wrong with it.
-    fn event(&mut self, i: usize) -> Result<Option<String>, String> {
-        if self.peek() != Some(b'{') {
-            self.value()?;
-            return Ok(Some(format!("event {i} is not an object")));
-        }
-        let (mut ph, mut name, mut pid, mut ts) = (None, false, false, None);
-        self.object(|s, key| {
-            let value = s.value()?;
-            match &*key {
-                "ph" if ph.is_none() => ph = Some(value),
-                "name" => name = true,
-                "pid" => pid = true,
-                "ts" if ts.is_none() => ts = Some(matches!(value, Kind::Num)),
-                _ => {}
+impl<'de> Deserialize<'de> for Field<'de> {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        Ok(match d.deserialize_any()? {
+            Any::Str(s) => Field::Str(s),
+            Any::Number(_) => Field::Number,
+            other => {
+                ignore(other)?;
+                Field::Other
             }
-            Ok(())
-        })?;
-        let ph = match ph {
-            Some(Kind::Str(ph)) if !ph.is_empty() => ph,
-            _ => return Ok(Some(format!("event {i} has no ph"))),
-        };
-        for (key, present) in [("name", name), ("pid", pid)] {
-            if !present {
-                return Ok(Some(format!("event {i} ({ph}) missing {key}")));
-            }
-        }
-        if ph != "M" && ts != Some(true) {
-            return Ok(Some(format!("event {i} ({ph}) missing numeric ts")));
-        }
-        Ok(None)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Result<u8, String> {
-        let b = self.peek().ok_or("unexpected end of input")?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        let got = self.bump()?;
-        if got != want {
-            return Err(format!(
-                "expected `{}` at byte {}, found `{}`",
-                want as char,
-                self.pos - 1,
-                got as char
-            ));
-        }
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Kind<'a>, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null"),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'"') => Ok(Kind::Str(self.string()?)),
-            Some(b'[') => self.array(|s| s.value().map(drop)).map(|()| Kind::Other),
-            Some(b'{') => self
-                .object(|s, _| s.value().map(drop))
-                .map(|()| Kind::Other),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(format!(
-                "unexpected character `{}` at byte {}",
-                c as char, self.pos
-            )),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, text: &str) -> Result<Kind<'a>, String> {
-        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(Kind::Other)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    /// An array; `item` scans each element.
-    fn array(
-        &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            item(self)?;
-            self.ws();
-            match self.bump()? {
-                b',' => continue,
-                b']' => return Ok(()),
-                other => {
-                    return Err(format!(
-                        "expected `,` or `]` at byte {}, found `{}`",
-                        self.pos - 1,
-                        other as char
-                    ))
-                }
-            }
-        }
-    }
-
-    /// An object; `field` gets each unescaped key and scans its value.
-    fn object(
-        &mut self,
-        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            field(self, key)?;
-            self.ws();
-            match self.bump()? {
-                b',' => continue,
-                b'}' => return Ok(()),
-                other => {
-                    return Err(format!(
-                        "expected `,` or `}}` at byte {}, found `{}`",
-                        self.pos - 1,
-                        other as char
-                    ))
-                }
-            }
-        }
-    }
-
-    /// A string, unescaped; it borrows the text unless it holds escapes.
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
-        self.expect(b'"')?;
-        let mut unescaped: Option<String> = None;
-        loop {
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            // The run stops at an ASCII byte or the end: a char boundary.
-            let run = &self.text[start..self.pos];
-            match self.bump()? {
-                b'"' => {
-                    return Ok(match unescaped {
-                        Some(mut s) => {
-                            s.push_str(run);
-                            Cow::Owned(s)
-                        }
-                        None => Cow::Borrowed(run),
-                    })
-                }
-                b'\\' => {
-                    let c = self.escape()?;
-                    let s = unescaped.get_or_insert_with(String::new);
-                    s.push_str(run);
-                    s.push(c);
-                }
-                other => {
-                    return Err(format!(
-                        "unescaped control character 0x{other:02x} in string"
-                    ))
-                }
-            }
-        }
-    }
-
-    /// The character an escape after `\` stands for.
-    fn escape(&mut self) -> Result<char, String> {
-        Ok(match self.bump()? {
-            b'"' => '"',
-            b'\\' => '\\',
-            b'/' => '/',
-            b'b' => '\u{8}',
-            b'f' => '\u{c}',
-            b'n' => '\n',
-            b'r' => '\r',
-            b't' => '\t',
-            b'u' => {
-                let hi = self.hex4()?;
-                let code = if (0xD800..0xDC00).contains(&hi) {
-                    // Surrogate pair.
-                    self.expect(b'\\')?;
-                    self.expect(b'u')?;
-                    let lo = self.hex4()?;
-                    if !(0xDC00..0xE000).contains(&lo) {
-                        return Err("invalid low surrogate".into());
-                    }
-                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                } else {
-                    hi
-                };
-                char::from_u32(code).ok_or("invalid unicode escape")?
-            }
-            other => return Err(format!("invalid escape `\\{}`", other as char)),
         })
     }
+}
 
-    fn hex4(&mut self) -> Result<u32, String> {
-        let mut v = 0;
-        for _ in 0..4 {
-            let d = (self.bump()? as char)
-                .to_digit(16)
-                .ok_or("invalid hex digit in unicode escape")?;
-            v = v * 16 + d;
+/// Reads the rest of a value that `deserialize_any` began, for its
+/// syntax only.
+fn ignore<'de, S, M>(value: Any<'de, S, M>) -> Result<(), S::Error>
+where
+    S: SeqAccess<'de>,
+    M: MapAccess<'de, Error = S::Error>,
+{
+    match value {
+        Any::Seq(mut seq) => while seq.next_element::<IgnoredAny>()?.is_some() {},
+        Any::Map(mut map) => {
+            while map.next_key()?.is_some() {
+                map.skip_value()?;
+            }
         }
-        Ok(v)
+        _ => {}
     }
-
-    /// A number: the longest run of number characters, valid when
-    /// `str::parse::<f64>` accepts it (as every integer the parser's
-    /// integer path takes is).
-    fn number(&mut self) -> Result<Kind<'a>, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = &self.text[start..self.pos];
-        match text.parse::<f64>() {
-            Ok(_) => Ok(Kind::Num),
-            Err(_) => Err(format!("invalid number `{text}`")),
-        }
-    }
+    Ok(())
 }
 
 #[cfg(test)]

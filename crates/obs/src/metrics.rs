@@ -100,8 +100,10 @@ impl Metrics {
         Metrics::default()
     }
 
+    /// Adds `by` to a counter, saturating at `u64::MAX`.
     pub fn incr(&mut self, key: &str, by: u64) {
-        *self.counters.entry(key.to_string()).or_insert(0) += by;
+        let counter = self.counters.entry(key.to_string()).or_insert(0);
+        *counter = counter.saturating_add(by);
     }
 
     pub fn observe(&mut self, key: &str, v: f64) {
@@ -324,6 +326,20 @@ mod tests {
         assert_eq!(m.counter("swap_bytes_moved"), 1_000_000);
         assert_eq!(m.counter("checkpoints"), 1);
         assert!((m.histograms["swap_transfer_secs"].mean() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn byte_counters_saturate_instead_of_wrapping() {
+        // Each `1e300 as u64` already saturates; their sum must too.
+        let checkpoint = TraceEvent::Checkpoint {
+            t: 0.0,
+            iter: 0,
+            bytes: 1e300,
+            pause_secs: 1.0,
+        };
+        let m = Metrics::from_bundle(&bundle_with(vec![checkpoint.clone(), checkpoint]));
+        assert_eq!(m.counter("checkpoints"), 2);
+        assert_eq!(m.counter("checkpoint_bytes_moved"), u64::MAX);
     }
 
     #[test]
