@@ -79,8 +79,11 @@ fn bench_loadgen(c: &mut Criterion) {
 }
 
 /// Whole-platform realization as the figures do it: 32 hosts at the
-/// 150 ks horizon, each host's trace generated and turned into the load
-/// and availability timelines its `Cpu` keeps.
+/// 150 ks horizon. An ON/OFF host is built up to its frontier (1/16 of
+/// the horizon) and whole only when a query reads past that, so three
+/// arms time it: realization alone, realization with every host then
+/// made whole (what a run that reads far pays), and the first query
+/// past one host's frontier (what making one host whole costs).
 fn bench_realize(c: &mut Criterion) {
     let mut group = c.benchmark_group("realize");
     let platform = |load| PlatformSpec {
@@ -96,6 +99,26 @@ fn bench_realize(c: &mut Criterion) {
     )));
     group.bench_function("onoff_32_hosts_150k_s", |b| {
         b.iter(|| std::hint::black_box(onoff.realize(1)))
+    });
+    group.bench_function("onoff_32_hosts_150k_s_whole", |b| {
+        b.iter(|| {
+            let platform = onoff.realize(1);
+            for host in &platform.hosts {
+                std::hint::black_box(host.cpu.availability());
+            }
+            platform
+        })
+    });
+    group.bench_function("onoff_host_first_query_past_frontier", |b| {
+        b.iter_batched(
+            || onoff.realize(1),
+            |platform| {
+                let t = onoff.horizon / 2.0;
+                std::hint::black_box(platform.hosts[0].delivered_at(t));
+                platform
+            },
+            BatchSize::SmallInput,
+        )
     });
     group.bench_function("hyperexp_32_hosts_150k_s", |b| {
         b.iter(|| std::hint::black_box(hyperexp.realize(2)))

@@ -239,6 +239,7 @@ impl Sojourn {
 mod tests {
     use super::*;
     use crate::stats;
+    use proptest::strategy::Strategy as _;
     use simkit::rng::rng;
 
     #[test]
@@ -389,6 +390,43 @@ mod tests {
         let src = OnOffSource::for_duty_cycle(0.0, 0.08, 30.0);
         assert_eq!(src.p, 0.0);
         assert_eq!(src.duty_cycle(), 0.0);
+    }
+
+    /// The breakpoints of `trace` below `t`, as bits.
+    fn bits_below(trace: &LoadTrace, t: f64) -> Vec<(u64, u64)> {
+        let points = trace.counts().points().iter();
+        points
+            .take_while(|&&(bt, _)| bt < t)
+            .map(|&(bt, v)| (bt.to_bits(), v.to_bits()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// A trace generated to a frontier is the trace generated to the
+        /// horizon below it, bit for bit, also once a Reclamation weight
+        /// scales it: the chain draws from its stream in time order, so
+        /// `PlatformSpec::realize` may build a host only to a frontier and
+        /// the rest later.
+        #[test]
+        fn prop_a_trace_to_a_frontier_is_a_prefix_of_the_whole(
+            p in (0.0f64..1.0).prop_map(|x| 1.0 - x),
+            q in (0.0f64..1.0).prop_map(|x| 1.0 - x),
+            step in proptest::sample::select(vec![1.0, 30.0, 0.25, 7.3]),
+            seed in 0u64..1_000,
+            horizon in 1.0f64..20_000.0,
+            share in 0.0f64..1.0,
+            weight in proptest::sample::select(vec![1.0, 19.0, 0.5, 0.0]),
+        ) {
+            let src = OnOffSource::with_step(p, q, step);
+            let frontier = horizon * share;
+            let head = src.generate(frontier, &mut rng(seed));
+            let whole = src.generate(horizon, &mut rng(seed));
+            proptest::prop_assert_eq!(bits_below(&head, frontier), bits_below(&whole, frontier));
+            proptest::prop_assert_eq!(
+                bits_below(&head.scale_counts(weight), frontier),
+                bits_below(&whole.scale_counts(weight), frontier)
+            );
+        }
     }
 
     #[test]

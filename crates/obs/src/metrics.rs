@@ -39,7 +39,13 @@ impl Histogram {
         } else {
             -64
         };
-        *self.buckets.entry(format!("{bucket}")).or_insert(0) += 1;
+        let mut name = [0; 3];
+        match self.buckets.get_mut(bucket_name(bucket, &mut name)) {
+            Some(n) => *n += 1,
+            None => {
+                self.buckets.insert(bucket.to_string(), 1);
+            }
+        }
     }
 
     pub fn mean(&self) -> f64 {
@@ -88,6 +94,32 @@ impl Histogram {
     }
 }
 
+/// The decimal name of a bucket index in `-64..=63`, written into `buf`,
+/// so that counting a sample in an existing bucket allocates nothing.
+fn bucket_name(i: i64, buf: &mut [u8; 3]) -> &str {
+    let n = i.unsigned_abs();
+    let mut len = 0;
+    if i < 0 {
+        buf[0] = b'-';
+        len = 1;
+    }
+    if n >= 10 {
+        buf[len] = b'0' + (n / 10) as u8;
+        len += 1;
+    }
+    buf[len] = b'0' + (n % 10) as u8;
+    std::str::from_utf8(&buf[..=len]).expect("ASCII digits")
+}
+
+/// `prefix` followed by `name`, written into `buf`, so that looking up a
+/// composite key allocates nothing once `buf` has grown.
+fn joined<'b>(buf: &'b mut String, prefix: &str, name: &str) -> &'b str {
+    buf.clear();
+    buf.push_str(prefix);
+    buf.push_str(name);
+    buf
+}
+
 /// The metrics registry: named counters and histograms.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
@@ -100,17 +132,28 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Adds `by` to a counter, saturating at `u64::MAX`.
+    /// Adds `by` to a counter, saturating at `u64::MAX`. The key is
+    /// copied only when the counter is new.
     pub fn incr(&mut self, key: &str, by: u64) {
-        let counter = self.counters.entry(key.to_string()).or_insert(0);
-        *counter = counter.saturating_add(by);
+        match self.counters.get_mut(key) {
+            Some(counter) => *counter = counter.saturating_add(by),
+            None => {
+                self.counters.insert(key.to_owned(), by);
+            }
+        }
     }
 
+    /// Adds a sample to a histogram. The key is copied only when the
+    /// histogram is new.
     pub fn observe(&mut self, key: &str, v: f64) {
-        self.histograms
-            .entry(key.to_string())
-            .or_default()
-            .observe(v);
+        match self.histograms.get_mut(key) {
+            Some(h) => h.observe(v),
+            None => {
+                let mut h = Histogram::default();
+                h.observe(v);
+                self.histograms.insert(key.to_owned(), h);
+            }
+        }
     }
 
     pub fn counter(&self, key: &str) -> u64 {
@@ -141,13 +184,15 @@ impl Metrics {
     ///   `protocol_decision_compute_secs`, `protocol_queue_depth`.
     pub fn from_bundle(bundle: &TraceBundle) -> Self {
         let mut m = Metrics::new();
+        let mut key = String::new();
         for run in &bundle.runs {
+            let iter_time = format!("iter_time/{}", run.label);
             let mut last_iter_end: Option<f64> = None;
             let mut prev_end = 0.0f64;
             for e in &run.trace.events {
                 match e {
                     TraceEvent::IterEnd { t, .. } => {
-                        m.observe(&format!("iter_time/{}", run.label), t - prev_end);
+                        m.observe(&iter_time, t - prev_end);
                         prev_end = *t;
                         last_iter_end = Some(*t);
                     }
@@ -160,7 +205,7 @@ impl Metrics {
                         m.incr("decisions", 1);
                         m.incr("swaps_attempted", admitted.len() as u64);
                         if admitted.is_empty() {
-                            m.incr(&format!("swaps_vetoed.{}", stopped_because.key()), 1);
+                            m.incr(joined(&mut key, "swaps_vetoed.", stopped_because.key()), 1);
                         }
                         for pair in admitted {
                             m.observe("payback", pair.payback);
@@ -203,7 +248,7 @@ impl Metrics {
                         bytes,
                     } => {
                         m.incr("protocol_msgs", 1);
-                        m.incr(&format!("protocol_msgs.{}", step.key()), 1);
+                        m.incr(joined(&mut key, "protocol_msgs.", step.key()), 1);
                         m.incr("protocol_bytes", *bytes as u64);
                         m.observe("protocol_msg_secs", end - start);
                         m.observe("protocol_queue_wait_secs", start - queued);
@@ -216,22 +261,22 @@ impl Metrics {
                     }
                     TraceEvent::FaultInjected { fault, .. } => {
                         m.incr("faults_injected", 1);
-                        m.incr(&format!("faults_injected.{}", fault.key()), 1);
+                        m.incr(joined(&mut key, "faults_injected.", fault.key()), 1);
                     }
                     TraceEvent::FailureDetected { cause, .. } => {
                         m.incr("failures_detected", 1);
-                        m.incr(&format!("failures_detected.{}", cause.key()), 1);
+                        m.incr(joined(&mut key, "failures_detected.", cause.key()), 1);
                     }
                     TraceEvent::RecoveryComplete {
                         action, pause_secs, ..
                     } => {
                         m.incr("recoveries", 1);
-                        m.incr(&format!("recoveries.{}", action.key()), 1);
+                        m.incr(joined(&mut key, "recoveries.", action.key()), 1);
                         m.observe("recovery_pause_secs", *pause_secs);
                     }
                     TraceEvent::PolicyDecision { policy, .. } => {
                         m.incr("policy_decisions", 1);
-                        m.incr(&format!("policy_decisions.{policy}"), 1);
+                        m.incr(joined(&mut key, "policy_decisions.", policy), 1);
                     }
                     TraceEvent::IterStart { .. }
                     | TraceEvent::ComputeSpan { .. }
@@ -275,6 +320,13 @@ mod tests {
         let mut b = TraceBundle::new();
         b.push("swap/greedy", 0, Trace { events });
         b
+    }
+
+    #[test]
+    fn bucket_names_are_the_decimal_indices() {
+        for i in -64..=63 {
+            assert_eq!(bucket_name(i, &mut [0; 3]), i.to_string());
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub struct Timeline {
 /// assert_eq!(avail.integrate_with(5.0, 15.0, &mut cursor), avail.integrate(5.0, 15.0));
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Cursor(usize);
+pub struct Cursor(pub(crate) usize);
 
 impl Timeline {
     /// A timeline that is `value` everywhere.
@@ -289,11 +289,19 @@ impl Timeline {
     ///
     /// # Panics
     /// Panics if `f` produces a negative or non-finite value.
-    pub fn map<F: FnMut(f64) -> f64>(&self, mut f: F) -> Timeline {
+    pub fn map<F: FnMut(f64) -> f64>(&self, f: F) -> Timeline {
+        self.map_before(f64::INFINITY, f)
+    }
+
+    /// [`map`](Self::map) on `[0, end)`, and 0 from `end` on, so nothing
+    /// the result holds at or past `end` comes from `self`.
+    pub(crate) fn map_before<F: FnMut(f64) -> f64>(&self, end: f64, mut f: F) -> Timeline {
         // The times come from a valid timeline, so only the values need
         // checking.
-        let mut points: Vec<(f64, f64)> = Vec::with_capacity(self.points.len());
-        for &(t, v) in &self.points {
+        let kept = self.points.partition_point(|&(t, _)| t < end);
+        let cut = kept < self.points.len() || end.is_finite();
+        let mut points: Vec<(f64, f64)> = Vec::with_capacity(kept + usize::from(cut));
+        for &(t, v) in &self.points[..kept] {
             let v = f(v);
             assert!(
                 v.is_finite() && v >= 0.0,
@@ -301,6 +309,13 @@ impl Timeline {
             );
             if points.last().is_none_or(|&(_, last)| last != v) {
                 points.push((t, v));
+            }
+        }
+        if cut {
+            match points.last() {
+                None => points.push((0.0, 0.0)),
+                Some(&(_, last)) if last != 0.0 => points.push((end, 0.0)),
+                Some(_) => {}
             }
         }
         points.shrink_to_fit();

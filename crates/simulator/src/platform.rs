@@ -129,6 +129,26 @@ pub enum LoadSpec {
     Diurnal(DiurnalTraceGenerator),
 }
 
+/// The share of the horizon to which [`PlatformSpec::realize`] builds
+/// ON/OFF and Reclamation hosts up front; the rest of a host's trace is
+/// built the first time a query reads past it.
+///
+/// How far the §6 figures' runs read: the largest makespan of any run,
+/// as a share of the 150 ks horizon, and the platforms whose hosts a run
+/// made whole (seeds 0–9, full scale):
+///
+/// | runs | largest makespan | platforms made whole |
+/// |---|---|---|
+/// | fig4, fig5, fig7 | 5.7% | none |
+/// | fig8 | 14% | 64 of 130 |
+/// | fig6 | 48% | 114 of 130 |
+/// | `swapsim scenario` template | 3.3% | none |
+///
+/// A host that is made whole regenerates its whole trace, so it costs
+/// 1/16 of a build more than a host built whole at once; any other host
+/// costs 1/16 of one.
+pub const REALIZED_SHARE: f64 = 1.0 / 16.0;
+
 /// A reproducible platform description: `realize(seed)` turns it into a
 /// concrete [`Platform`] with per-host speeds and load traces.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -175,31 +195,41 @@ impl PlatformSpec {
     /// always gets the same speed and load trace (independent RNG streams
     /// per host).
     ///
+    /// ON/OFF and Reclamation hosts are built up to a frontier at
+    /// [`REALIZED_SHARE`] of the horizon ([`Cpu::lazy`]). The first query
+    /// that reads an instant at or past it regenerates the host's whole
+    /// trace from its own stream, which is exact: the host draws its speed
+    /// and then its trace from that stream in time order, so a trace
+    /// generated to the frontier is the whole trace below it. A source
+    /// that never turns ON (`p = 0`) has the same trace at any horizon and
+    /// is built whole, as are the other load models: HyperExp and Pareto
+    /// draw their arrivals over the whole horizon, so no prefix of theirs
+    /// is exact.
+    ///
     /// # Panics
     /// Panics if the spec is degenerate (no hosts, empty speed range).
     pub fn realize(&self, seed: u64) -> Platform {
         assert!(self.n_hosts >= 1, "platform needs at least one host");
         let (lo, hi) = self.speed_range;
         assert!(lo > 0.0 && hi >= lo, "bad speed range ({lo}, {hi})");
+        let frontier = self.horizon * REALIZED_SHARE;
         let hosts = (0..self.n_hosts)
-            .map(|i| {
-                let mut rng = stream_rng(seed, i as u64);
-                let speed = if hi > lo {
-                    rand::Rng::gen_range(&mut rng, lo..hi)
-                } else {
-                    lo
-                };
-                let trace = match self.load {
-                    LoadSpec::Unloaded => LoadTrace::unloaded(),
-                    LoadSpec::OnOff(src) => src.generate(self.horizon, &mut rng),
-                    LoadSpec::HyperExp(w) => w.generate(self.horizon, &mut rng),
-                    LoadSpec::Reclamation { source, weight } => {
-                        source.generate(self.horizon, &mut rng).scale_counts(weight)
+            .map(|i| match self.load {
+                LoadSpec::OnOff(source) | LoadSpec::Reclamation { source, .. }
+                    if source.p != 0.0 =>
+                {
+                    let (speed, head) = self.host_load(seed, i, frontier);
+                    let spec = *self;
+                    let whole = move || spec.host_load(seed, i, spec.horizon).1.into_counts();
+                    Host {
+                        speed,
+                        cpu: Cpu::lazy(speed, head.into_counts(), frontier, whole),
                     }
-                    LoadSpec::Pareto(w) => w.generate(self.horizon, &mut rng),
-                    LoadSpec::Diurnal(g) => g.generate(self.horizon, &mut rng),
-                };
-                Host::new(speed, trace)
+                }
+                _ => {
+                    let (speed, trace) = self.host_load(seed, i, self.horizon);
+                    Host::new(speed, trace)
+                }
             })
             .collect();
         Platform {
@@ -207,6 +237,29 @@ impl PlatformSpec {
             link: self.link,
             startup_per_process: self.startup_per_process,
         }
+    }
+
+    /// Host `host`'s speed and its load trace generated to `until`, both
+    /// drawn from the host's own stream: the speed first, then the trace.
+    fn host_load(&self, seed: u64, host: usize, until: f64) -> (f64, LoadTrace) {
+        let mut rng = stream_rng(seed, host as u64);
+        let (lo, hi) = self.speed_range;
+        let speed = if hi > lo {
+            rand::Rng::gen_range(&mut rng, lo..hi)
+        } else {
+            lo
+        };
+        let trace = match self.load {
+            LoadSpec::Unloaded => LoadTrace::unloaded(),
+            LoadSpec::OnOff(src) => src.generate(until, &mut rng),
+            LoadSpec::HyperExp(w) => w.generate(until, &mut rng),
+            LoadSpec::Reclamation { source, weight } => {
+                source.generate(until, &mut rng).scale_counts(weight)
+            }
+            LoadSpec::Pareto(w) => w.generate(until, &mut rng),
+            LoadSpec::Diurnal(g) => g.generate(until, &mut rng),
+        };
+        (speed, trace)
     }
 }
 

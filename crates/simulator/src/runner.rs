@@ -594,14 +594,15 @@ pub fn run_replicated_policies(
 }
 
 /// Appends the realized external-load breakpoints of every host as
-/// `LoadChange` events, clipped to `[0, horizon_t]`.
+/// `LoadChange` events, clipped to `[0, horizon_t]`. A lazily built host
+/// is read only as far as `horizon_t` ([`simkit::Cpu::load_through`]).
 fn append_load_changes(
     trace: &mut obs::Trace,
     platform: &crate::platform::Platform,
     horizon_t: f64,
 ) {
     for (host, h) in platform.hosts.iter().enumerate() {
-        for &(t, competing) in h.cpu.load().points() {
+        for &(t, competing) in h.cpu.load_through(horizon_t).points() {
             if t > horizon_t {
                 break;
             }
