@@ -55,9 +55,8 @@ pub enum Predictor {
     /// newest-weighted, with the given smoothing factor in `(0, 1]`.
     Ewma(f64),
     /// NWS-style dynamic predictor selection over the windowed samples:
-    /// a bank of forecasters is replayed through the window and the one
-    /// with the lowest cumulative one-step error answers (see
-    /// [`crate::forecast`]).
+    /// a fixed bank of seven forecasters is replayed through the window
+    /// and the one with the lowest cumulative one-step error answers.
     Nws,
     /// Mean of the windowed samples weighted by the *time* each sample
     /// represents (the span until the next sample, or until `now` for the
@@ -178,7 +177,7 @@ impl PerfHistory {
                     .expect("window is non-empty")
             }
             Predictor::Nws => with_scratch(windowed().map(|(_, v)| v), |vals| {
-                crate::forecast::nws_forecast(vals).unwrap_or(last_v)
+                nws(vals).unwrap_or(last_v)
             }),
             Predictor::TimeWeightedMean => {
                 // Each sample covers the span until the next one; the
@@ -198,6 +197,75 @@ impl PerfHistory {
         };
         Some(out)
     }
+}
+
+/// NWS-style dynamic predictor selection (Wolski et al.'s Network
+/// Weather Service) over a sample window, oldest first. A fixed bank of
+/// seven forecasters — last value, running mean, sliding means over 3
+/// and 8 samples, sliding median over 5, and EWMAs with α = 0.3 and 0.7
+/// — is replayed through the window; each member's one-step forecast is
+/// scored against every sample from the second on by cumulative
+/// absolute error, and the member with the lowest error answers (ties go
+/// to the earlier member). `None` on an empty window.
+fn nws(vals: &[f64]) -> Option<f64> {
+    if vals.is_empty() {
+        return None;
+    }
+    let (errors, forecasts) = nws_bank(vals);
+    errors
+        .iter()
+        .zip(forecasts)
+        .min_by(|a, b| a.0.total_cmp(b.0))
+        .map(|(_, f)| f)
+}
+
+/// The NWS bank replayed through a non-empty window: each member's
+/// cumulative absolute one-step error and its forecast of the next
+/// sample, in bank order.
+fn nws_bank(vals: &[f64]) -> ([f64; 7], [f64; 7]) {
+    let mean = |w: &[f64]| w.iter().sum::<f64>() / w.len() as f64;
+    let median = |w: &[f64]| {
+        let mut buf = [0.0; 5];
+        let sorted = &mut buf[..w.len()];
+        sorted.copy_from_slice(w);
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        if sorted.len() % 2 == 0 {
+            (sorted[mid - 1] + sorted[mid]) / 2.0
+        } else {
+            sorted[mid]
+        }
+    };
+    let mut errors = [0.0f64; 7];
+    let mut forecasts = [0.0f64; 7];
+    let mut sum = 0.0;
+    for (i, &v) in vals.iter().enumerate() {
+        if i > 0 {
+            for (err, f) in errors.iter_mut().zip(forecasts) {
+                *err += (f - v).abs();
+            }
+        }
+        sum += v;
+        // The last `k` samples seen, oldest first.
+        let tail = |k: usize| &vals[(i + 1).saturating_sub(k)..=i];
+        let ewma = |alpha: f64, acc: f64| {
+            if i == 0 {
+                v
+            } else {
+                alpha * v + (1.0 - alpha) * acc
+            }
+        };
+        forecasts = [
+            v,
+            sum / (i + 1) as f64,
+            mean(tail(3)),
+            mean(tail(8)),
+            median(tail(5)),
+            ewma(0.3, forecasts[5]),
+            ewma(0.7, forecasts[6]),
+        ];
+    }
+    (errors, forecasts)
 }
 
 /// Runs `f` on the iterator's values gathered into a reusable
@@ -368,6 +436,85 @@ mod tests {
             ),
             Some(42.0)
         );
+    }
+
+    #[test]
+    fn nws_predicts_a_constant_series_exactly() {
+        assert_eq!(nws(&[5.0; 10]), Some(5.0));
+    }
+
+    #[test]
+    fn nws_follows_a_steady_trend_with_the_last_value() {
+        // On a monotone ramp, last-value has the smallest one-step error
+        // of the bank members.
+        let samples: Vec<f64> = (0..30).map(|i| i as f64).collect();
+        assert_eq!(nws(&samples), Some(29.0));
+    }
+
+    #[test]
+    fn nws_hugs_the_base_level_under_spiky_noise() {
+        // A constant signal with rare huge spikes: last-value is badly
+        // punished after each spike, so a robust member must answer.
+        let mut samples = vec![10.0; 40];
+        for i in (7..40).step_by(8) {
+            samples[i] = 1000.0;
+        }
+        let f = nws(&samples).unwrap();
+        assert!(
+            (f - 10.0).abs() < 5.0,
+            "forecast {f} should hug the base level"
+        );
+    }
+
+    #[test]
+    fn nws_has_no_forecast_for_an_empty_window() {
+        assert_eq!(nws(&[]), None);
+    }
+
+    mod props {
+        use proptest::prelude::*;
+
+        /// A window of 0–64 samples built step by step from zeros of
+        /// both signs, plateaus (the last value again, up to 8 times),
+        /// spikes, three shared levels (ties across the window) and
+        /// uniform draws.
+        fn window() -> impl Strategy<Value = Vec<f64>> {
+            proptest::collection::vec((0usize..7, 0.0f64..100.0), 0..65).prop_map(|steps| {
+                let mut out: Vec<f64> = Vec::new();
+                for (kind, x) in steps {
+                    let last = out.last().copied().unwrap_or(x);
+                    match kind {
+                        0 => out.push(0.0),
+                        1 => out.push(-0.0),
+                        2 => out.extend(std::iter::repeat_n(last, 1 + x as usize % 8)),
+                        3 => out.push(x * 1e6),
+                        4 => out.push([1.0, 10.0, 100.0][x as usize % 3]),
+                        _ => out.push(x),
+                    }
+                }
+                out.truncate(64);
+                out
+            })
+        }
+
+        proptest! {
+            /// The one-pass bank answers as the boxed reference bank,
+            /// bit for bit, on every window (empty included), and every
+            /// member's error and forecast match the reference's.
+            #[test]
+            fn prop_nws_matches_the_reference_bank(vals in window()) {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let got = super::super::nws(&vals);
+                let want = crate::reference::nws_forecast(&vals);
+                prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+                if !vals.is_empty() {
+                    let (errors, forecasts) = super::super::nws_bank(&vals);
+                    let (want_errors, want_forecasts) = crate::reference::nws_members(&vals);
+                    prop_assert_eq!(bits(&errors), bits(&want_errors));
+                    prop_assert_eq!(bits(&forecasts), bits(&want_forecasts));
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,17 +17,17 @@
 //!   **greedy**, **safe**, **friendly**.
 //! * [`history`] — per-processor performance histories with a configurable
 //!   measurement window (the "amount of history" knob; what NWS-style
-//!   monitoring provides in the real implementation).
+//!   monitoring provides in the real implementation), and the predictors
+//!   that reduce a window to one value, NWS's fixed forecaster bank
+//!   ([`Predictor::Nws`]) among them.
 //! * [`decision`] — the swap manager's decision engine: given predicted
 //!   per-processor performance, propose slowest-active ↔ fastest-inactive
 //!   exchanges and filter them through the policy.
 //! * [`manager`] — the swap manager's decision core: a history per
 //!   processor, predictions under the policy, and the engine's verdict.
 //!   Every swap manager, simulated or live, decides through it.
-//! * [`forecast`] — the NWS-style forecaster bank behind
-//!   [`Predictor::Nws`].
-//! * [`metrics`] — shared performance-metric helpers (improvement ratios,
-//!   iteration-rate conversions).
+//! * [`metrics`] — shared performance-metric helpers (improvement
+//!   ratios, the bottleneck performance).
 //!
 //! The crate is deliberately independent of any particular runtime: the
 //! `simulator` crate feeds a [`ManagerCore`] with simulated measurements,
@@ -37,12 +37,13 @@
 #![warn(missing_docs)]
 
 pub mod decision;
-pub mod forecast;
 pub mod history;
 pub mod manager;
 pub mod metrics;
 pub mod payback;
 pub mod policy;
+#[cfg(test)]
+mod reference;
 
 pub use decision::{
     DecisionEngine, ProcessorSnapshot, RejectedSwap, StopReason, SwapDecision, SwapPair,

@@ -15,40 +15,6 @@ pub fn improvement(old: f64, new: f64) -> f64 {
     (new - old) / old
 }
 
-/// Converts an iteration time to an iteration rate (iterations/second) —
-/// a performance measure in the payback sense.
-///
-/// # Panics
-/// Panics if `iter_time` is not strictly positive.
-pub fn iteration_rate(iter_time: f64) -> f64 {
-    assert!(iter_time > 0.0, "iteration time must be positive");
-    1.0 / iter_time
-}
-
-/// Predicted BSP iteration *compute* time of the application: the slowest
-/// active processor bounds the iteration (`work/perf` each, synchronized
-/// by the end-of-iteration communication).
-///
-/// `work_per_proc[i]` is the work assigned to active processor `i`;
-/// `perfs[i]` its (predicted) delivered speed in the same units/second.
-///
-/// # Panics
-/// Panics if the slices differ in length, are empty, or any perf is
-/// non-positive.
-pub fn bsp_iteration_time(work_per_proc: &[f64], perfs: &[f64]) -> f64 {
-    assert_eq!(work_per_proc.len(), perfs.len(), "length mismatch");
-    assert!(!perfs.is_empty(), "need at least one processor");
-    work_per_proc
-        .iter()
-        .zip(perfs)
-        .map(|(&w, &p)| {
-            assert!(p > 0.0, "performance must be positive");
-            assert!(w >= 0.0, "work must be non-negative");
-            w / p
-        })
-        .fold(0.0, f64::max)
-}
-
 /// For an equal-partition application, the whole-application performance is
 /// set by the *minimum* processor performance. Returns that minimum.
 ///
@@ -68,24 +34,6 @@ mod tests {
         assert_eq!(improvement(10.0, 15.0), 0.5);
         assert_eq!(improvement(10.0, 5.0), -0.5);
         assert_eq!(improvement(10.0, 10.0), 0.0);
-    }
-
-    #[test]
-    fn iteration_rate_inverts_time() {
-        assert_eq!(iteration_rate(4.0), 0.25);
-    }
-
-    #[test]
-    fn bsp_time_is_bounded_by_slowest() {
-        let t = bsp_iteration_time(&[100.0, 100.0, 100.0], &[10.0, 5.0, 20.0]);
-        assert_eq!(t, 20.0);
-    }
-
-    #[test]
-    fn bsp_time_respects_uneven_work() {
-        // DLB-style partition: work proportional to speed balances times.
-        let t = bsp_iteration_time(&[200.0, 100.0], &[20.0, 10.0]);
-        assert_eq!(t, 10.0);
     }
 
     #[test]

@@ -300,13 +300,13 @@ fn tournament_platform() -> simulator::platform::PlatformSpec {
 ///
 /// * **Heterogeneous lifetimes** (`host_mtbf_spread = 8`): per-host
 ///   effective MTBFs span a 64× range and crash timing is bursty
-///   (hyperexponential), so an [`policy::MtbfAware`] ranker that prefers
+///   (hyperexponential), so a `MtbfAware` ranker that prefers
 ///   spares with long expected residual lifetime replaces dead hosts
-///   with durable ones, while [`policy::FirstAlive`] keeps handing the
+///   with durable ones, while `FirstAlive` keeps handing the
 ///   state to fragile spares and pays the recovery bill again.
 /// * **Correlated rack shocks** (`domains = 4`, storms at the swept
 ///   MTBF killing 80% of one rack across a 900 s window): a storm
-///   dooms several hosts of one rack at once, so [`policy::RackAware`]
+///   dooms several hosts of one rack at once, so `RackAware`
 ///   — which demotes spares in recently-shocked domains — refuses to
 ///   place the replacement next to the host that just died, while
 ///   `FirstAlive` walks straight into the blast radius.

@@ -10,7 +10,7 @@
 use crate::config::Scale;
 use crate::output::{FigureData, Series};
 use crate::sweep::grid_sweep;
-use loadmodel::{DegenerateHyperExp, HyperExpWorkload, LoadTrace, OnOffSource};
+use loadmodel::{DegenerateHyperExp, HyperExpWorkload, OnOffSource};
 use simkit::rng::rng;
 use simulator::platform::{LoadSpec, PlatformSpec};
 use simulator::runner::Replication;
@@ -154,12 +154,6 @@ pub fn fig3_hyperexp_trace(seed: u64) -> FigureData {
         y_label: "CPU load [competing processes]".into(),
         series: vec![Series::new("cpu load", trace.sample(horizon, 1.0))],
     }
-}
-
-/// The trace behind figure 3, exposed for tests.
-pub fn fig3_trace(seed: u64, horizon: f64) -> LoadTrace {
-    HyperExpWorkload::new(DegenerateHyperExp::new(40.0, 0.4), 1.0 / 60.0)
-        .generate(horizon, &mut rng(seed))
 }
 
 // ---------------------------------------------------------------------

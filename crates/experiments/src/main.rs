@@ -295,6 +295,7 @@ fn main() {
             let n_spares: usize = operand(&ops, 1, "n_spares").unwrap_or(28);
             let state: f64 = operand(&ops, 2, "state_bytes").unwrap_or(1.0e6);
             let swaps: usize = operand(&ops, 3, "swaps").unwrap_or(1);
+            check_protocol(n_active, n_spares, state, swaps).unwrap_or_else(|msg| fail(&msg));
             let params =
                 simulator::protocol::ProtocolParams::hpdc03(n_active, n_spares, state, swaps);
             let (sink, collector) = obs::SharedSink::collector();
@@ -912,6 +913,29 @@ fn operand<T: std::str::FromStr>(ops: &[&str], i: usize, name: &str) -> Option<T
     Some(v)
 }
 
+/// Refuses a protocol round that cannot run: more swaps than
+/// active/spare pairs, or a state size that is negative or not finite.
+/// The message names the operand.
+fn check_protocol(
+    n_active: usize,
+    n_spares: usize,
+    state: f64,
+    swaps: usize,
+) -> Result<(), String> {
+    let pairs = n_active.min(n_spares);
+    if swaps > pairs {
+        return Err(format!(
+            "swaps expects at most min(n_active, n_spares) = {pairs}, got {swaps}"
+        ));
+    }
+    if !(state.is_finite() && state >= 0.0) {
+        return Err(format!(
+            "state_bytes expects a finite byte count >= 0, got {state}"
+        ));
+    }
+    Ok(())
+}
+
 /// How many operands `cmd` reads, given its flags and operands; `None`
 /// for an unknown command, which gets the usage text instead.
 fn operand_limit(cmd: &str, flags: &Flags, ops: &[&str]) -> Option<usize> {
@@ -954,7 +978,7 @@ fn usage_and_exit() -> ! {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_args;
+    use super::{check_protocol, parse_args};
 
     /// The flags and operands of a whole command line (command first),
     /// or the message it exits 2 with.
@@ -1037,6 +1061,25 @@ mod tests {
         assert_eq!(limit("tune"), Some(2));
         // Unknown commands get the usage text, whatever follows them.
         assert_eq!(limit("bogus 1 2"), None);
+    }
+
+    #[test]
+    fn protocol_refuses_rounds_it_cannot_run() {
+        // `protocol 4 0` (one swap by default, no spare) and a negative
+        // or NaN state size once panicked inside the round.
+        assert_eq!(
+            check_protocol(4, 0, 1e6, 1),
+            Err("swaps expects at most min(n_active, n_spares) = 0, got 1".into())
+        );
+        for state in [-1.0, f64::NAN, f64::INFINITY] {
+            let msg = check_protocol(4, 28, state, 1).unwrap_err();
+            assert!(msg.starts_with("state_bytes expects "), "{msg}");
+        }
+        for (n_active, n_spares, state, swaps) in
+            [(4, 28, 1e6, 4), (1, 0, 1e6, 0), (16, 16, 0.0, 0)]
+        {
+            assert_eq!(check_protocol(n_active, n_spares, state, swaps), Ok(()));
+        }
     }
 
     #[test]

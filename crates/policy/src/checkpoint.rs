@@ -22,49 +22,50 @@ pub struct CheckpointQuery {
     pub n_active: usize,
 }
 
-/// A checkpoint-cadence policy: answers "how many iterations between
-/// checkpoints, right now?" Pure arithmetic, recomputed every
-/// iteration so the cadence can drift with the observed failure rate.
-pub trait CheckpointPolicy: Send + Sync {
-    /// Stable policy name (used in trace events and CLI flags).
-    fn name(&self) -> &'static str;
+/// The checkpoint-cadence policies, selectable from scenario files and
+/// CLI flags. Each answers "how many iterations between checkpoints,
+/// right now?" with pure arithmetic, recomputed every iteration so the
+/// cadence can drift with the observed failure rate.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+pub enum CheckpointChoice {
+    /// Today's behaviour: the configured cadence, regardless of what the
+    /// run observes.
+    #[default]
+    FixedInterval,
+    /// The classic Young/Daly optimum: checkpoint every `√(2·δ·M)`
+    /// seconds, where `δ` is the checkpoint cost and `M` the *system*
+    /// MTBF (per-host MTBF over the active host count), converted to
+    /// iterations via the observed mean iteration time. With no MTBF
+    /// estimate yet (no failure observed), an infinite MTBF, or no
+    /// timing signal, it degenerates to `FixedInterval`.
+    YoungDaly,
+}
+
+impl CheckpointChoice {
+    /// Parses a CLI spelling (`fixed_interval` / `young_daly`).
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "fixed_interval" => Some(CheckpointChoice::FixedInterval),
+            "young_daly" => Some(CheckpointChoice::YoungDaly),
+            _ => None,
+        }
+    }
+
+    /// The policy's stable name (used in trace events and CLI flags).
+    pub fn name(self) -> &'static str {
+        match self {
+            CheckpointChoice::FixedInterval => "fixed_interval",
+            CheckpointChoice::YoungDaly => "young_daly",
+        }
+    }
 
     /// Iterations between checkpoints under the observed conditions;
     /// always at least 1.
-    fn interval_iters(&self, q: &CheckpointQuery) -> usize;
-}
-
-/// Today's behaviour: the configured cadence, regardless of what the
-/// run observes.
-pub struct FixedInterval;
-
-impl CheckpointPolicy for FixedInterval {
-    fn name(&self) -> &'static str {
-        "fixed_interval"
-    }
-
-    fn interval_iters(&self, q: &CheckpointQuery) -> usize {
-        q.default_every.max(1)
-    }
-}
-
-/// The classic Young/Daly optimum: checkpoint every `√(2·δ·M)` seconds,
-/// where `δ` is the checkpoint cost and `M` the *system* MTBF
-/// (per-host MTBF over the active host count), converted to iterations
-/// via the observed mean iteration time. With no MTBF estimate yet (no
-/// failure observed), an infinite MTBF, or no timing signal, it
-/// degenerates to [`FixedInterval`].
-pub struct YoungDaly;
-
-impl CheckpointPolicy for YoungDaly {
-    fn name(&self) -> &'static str {
-        "young_daly"
-    }
-
-    fn interval_iters(&self, q: &CheckpointQuery) -> usize {
+    pub fn interval_iters(self, q: &CheckpointQuery) -> usize {
         let fallback = q.default_every.max(1);
-        let mtbf = match q.mtbf_secs {
-            Some(m) if m.is_finite() && m > 0.0 => m,
+        let mtbf = match (self, q.mtbf_secs) {
+            (CheckpointChoice::YoungDaly, Some(m)) if m.is_finite() && m > 0.0 => m,
             _ => return fallback,
         };
         // NaN or non-positive timing signals degenerate to the fixed
@@ -82,48 +83,11 @@ impl CheckpointPolicy for YoungDaly {
     }
 }
 
-/// Serializable checkpoint-policy selector for scenario files and CLI
-/// flags.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum CheckpointChoice {
-    /// [`FixedInterval`] — the configured legacy cadence.
-    #[default]
-    FixedInterval,
-    /// [`YoungDaly`] — `√(2·δ·MTBF)` recomputed as estimates drift.
-    YoungDaly,
-}
-
-impl CheckpointChoice {
-    /// Parses a CLI spelling (`fixed_interval` / `young_daly`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "fixed_interval" => Some(CheckpointChoice::FixedInterval),
-            "young_daly" => Some(CheckpointChoice::YoungDaly),
-            _ => None,
-        }
-    }
-
-    /// The policy's stable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CheckpointChoice::FixedInterval => "fixed_interval",
-            CheckpointChoice::YoungDaly => "young_daly",
-        }
-    }
-
-    /// Materializes the policy.
-    pub fn build(self) -> Box<dyn CheckpointPolicy> {
-        match self {
-            CheckpointChoice::FixedInterval => Box::new(FixedInterval),
-            CheckpointChoice::YoungDaly => Box::new(YoungDaly),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolicyConfig;
+    use CheckpointChoice::{FixedInterval, YoungDaly};
 
     fn query(mtbf: Option<f64>) -> CheckpointQuery {
         CheckpointQuery {
@@ -165,8 +129,8 @@ mod tests {
 
     #[test]
     fn young_daly_degenerates_to_fixed_interval_at_infinite_mtbf() {
-        // Satellite 3: with no failures in sight the optimum interval is
-        // unbounded, and the policy must fall back to the fixed cadence.
+        // With no failures in sight the optimum interval is unbounded,
+        // and the policy must fall back to the fixed cadence.
         for mtbf in [None, Some(f64::INFINITY), Some(f64::NAN), Some(0.0)] {
             let q = query(mtbf);
             assert_eq!(
@@ -191,7 +155,11 @@ mod tests {
         ] {
             let c = CheckpointChoice::parse(s).unwrap();
             assert_eq!(c.name(), name);
-            assert_eq!(c.build().name(), name);
+            let config = PolicyConfig {
+                checkpoint: c,
+                ..PolicyConfig::default()
+            };
+            assert_eq!(config.build(0.0).checkpoint.name(), name);
         }
         assert_eq!(CheckpointChoice::parse("nope"), None);
     }

@@ -3,18 +3,19 @@
 //! The paper is titled *Policies* for Swapping MPI Processes, and this
 //! crate makes the policies first-class: instead of embedding choices
 //! inline, the strategies consult a [`PolicySet`] at their existing
-//! decision points —
+//! decision points. Each decision is a fixed set of named policies, one
+//! enum each —
 //!
-//! * **Spare placement** ([`SparePlacement`]): when an active host dies,
-//!   which spare replaces it? [`FirstAlive`] reproduces the legacy
-//!   probe-ranked choice byte-for-byte; [`MtbfAware`] ranks spares by
+//! * **Spare placement** ([`PlacementChoice`]): when an active host dies,
+//!   which spare replaces it? `FirstAlive` reproduces the legacy
+//!   probe-ranked choice byte-for-byte; `MtbfAware` ranks spares by
 //!   expected residual lifetime (from the host's
-//!   [`faults::MtbfDistribution`] plus elapsed uptime); [`RackAware`]
+//!   [`faults::MtbfDistribution`] plus elapsed uptime); `RackAware`
 //!   avoids co-locating a replacement in a failure domain with a recent
 //!   shock.
-//! * **Checkpoint cadence** ([`CheckpointPolicy`]): how many iterations
-//!   between CR checkpoints? [`FixedInterval`] keeps the configured
-//!   cadence; [`YoungDaly`] applies the classic `√(2·δ·MTBF)` optimum,
+//! * **Checkpoint cadence** ([`CheckpointChoice`]): how many iterations
+//!   between CR checkpoints? `FixedInterval` keeps the configured
+//!   cadence; `YoungDaly` applies the classic `√(2·δ·MTBF)` optimum,
 //!   recomputed as the observed failure rate drifts.
 //!
 //! Everything here is pure, deterministic arithmetic — no sampling, no
@@ -26,39 +27,28 @@
 mod checkpoint;
 mod placement;
 
-pub use checkpoint::{
-    CheckpointChoice, CheckpointPolicy, CheckpointQuery, FixedInterval, YoungDaly,
-};
-pub use placement::{
-    FirstAlive, MtbfAware, PlacementChoice, RackAware, SpareCandidate, SparePlacement,
-};
+pub use checkpoint::{CheckpointChoice, CheckpointQuery};
+pub use placement::{PlacementChoice, SpareCandidate};
 
 use serde::{Deserialize, Serialize};
 
-/// The full policy bundle a strategy consults: one placement policy and
-/// one checkpoint policy.
+/// The full policy bundle a strategy consults: one placement policy,
+/// one checkpoint policy and the resolved rack-alarm lookback. Built by
+/// [`PolicyConfig::build`].
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PolicySet {
     /// Ranks spare candidates when replacing a dead active host.
-    pub placement: Box<dyn SparePlacement>,
+    pub placement: PlacementChoice,
     /// Chooses the CR checkpoint cadence.
-    pub checkpoint: Box<dyn CheckpointPolicy>,
-}
-
-impl PolicySet {
-    /// The legacy-equivalent bundle: [`FirstAlive`] placement and
-    /// [`FixedInterval`] checkpoints. Running with this set produces
-    /// byte-identical results to running with no policy layer at all.
-    pub fn legacy() -> Self {
-        PolicySet {
-            placement: Box::new(FirstAlive),
-            checkpoint: Box::new(FixedInterval),
-        }
-    }
+    pub checkpoint: CheckpointChoice,
+    /// How long after a rack alarm `RackAware` keeps avoiding the
+    /// domain, seconds (positive, possibly infinite).
+    pub lookback_secs: f64,
 }
 
 /// Serializable policy selection for scenario files and CLI flags;
-/// [`PolicyConfig::build`] materializes the trait objects.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// [`PolicyConfig::build`] resolves it into a [`PolicySet`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PolicyConfig {
     /// Which spare-placement policy to consult.
     #[serde(default)]
@@ -66,21 +56,11 @@ pub struct PolicyConfig {
     /// Which checkpoint-interval policy to consult.
     #[serde(default)]
     pub checkpoint: CheckpointChoice,
-    /// How long after a rack alarm [`RackAware`] keeps avoiding the
+    /// How long after a rack alarm `RackAware` keeps avoiding the
     /// domain, seconds; `0` (the default) means "the fault spec's storm
     /// window", falling back to infinity when no window is configured.
     #[serde(default)]
     pub shock_lookback_secs: f64,
-}
-
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        PolicyConfig {
-            placement: PlacementChoice::FirstAlive,
-            checkpoint: CheckpointChoice::FixedInterval,
-            shock_lookback_secs: 0.0,
-        }
-    }
 }
 
 impl PolicyConfig {
@@ -92,8 +72,8 @@ impl PolicyConfig {
         }
     }
 
-    /// Materializes the policy set. `default_lookback_secs` seeds
-    /// [`RackAware`]'s avoidance window when `shock_lookback_secs` is 0
+    /// Resolves the policy set. `default_lookback_secs` seeds
+    /// `RackAware`'s avoidance window when `shock_lookback_secs` is 0
     /// (pass the fault spec's `shock_window_secs`, or 0 for "avoid
     /// shocked domains forever").
     pub fn build(&self, default_lookback_secs: f64) -> PolicySet {
@@ -105,8 +85,9 @@ impl PolicyConfig {
             f64::INFINITY
         };
         PolicySet {
-            placement: self.placement.build(lookback),
-            checkpoint: self.checkpoint.build(),
+            placement: self.placement,
+            checkpoint: self.checkpoint,
+            lookback_secs: lookback,
         }
     }
 }
@@ -126,6 +107,7 @@ mod tests {
         let set = sparse.build(0.0);
         assert_eq!(set.placement.name(), "first_alive");
         assert_eq!(set.checkpoint.name(), "fixed_interval");
+        assert_eq!(set.lookback_secs, f64::INFINITY);
     }
 
     #[test]
@@ -135,5 +117,11 @@ mod tests {
         let set = c.build(600.0);
         assert_eq!(set.placement.name(), "rack_aware");
         assert_eq!(set.checkpoint.name(), "young_daly");
+        assert_eq!(set.lookback_secs, 600.0);
+        let own = PolicyConfig {
+            shock_lookback_secs: 90.0,
+            ..c
+        };
+        assert_eq!(own.build(600.0).lookback_secs, 90.0);
     }
 }

@@ -1,108 +1,78 @@
 //! Event queue with stable ordering.
 //!
-//! A thin priority queue of `(time, sequence)`-ordered entries. Events at
-//! equal timestamps pop in scheduling order (FIFO), which keeps simulations
-//! deterministic regardless of heap internals. Cancellation is O(1) via a
-//! tombstone set.
+//! A priority queue of `(instant, sequence)`-ordered entries. Instants
+//! are simulated seconds, ordered by `f64::total_cmp` (so `-0.0` pops
+//! before `0.0`), and entries at equal instants pop in scheduling order
+//! (FIFO), which keeps a simulation deterministic regardless of heap
+//! internals.
 
-use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
-/// Opaque handle to a scheduled event, usable for cancellation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
-#[derive(PartialEq, Eq)]
 struct Entry<T> {
-    time: SimTime,
+    time: f64,
     seq: u64,
     payload: T,
 }
 
-impl<T: Eq> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time.cmp(&other.time).then(self.seq.cmp(&other.seq))
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.time
+            .total_cmp(&other.time)
+            .then(self.seq.cmp(&other.seq))
     }
 }
 
-impl<T: Eq> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// A time-ordered, FIFO-stable, cancellable event queue.
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+/// A time-ordered, FIFO-stable event queue.
 pub struct EventQueue<T> {
     heap: BinaryHeap<Reverse<Entry<T>>>,
-    cancelled: HashSet<u64>,
     next_seq: u64,
 }
 
-impl<T: Eq> EventQueue<T> {
+impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             next_seq: 0,
         }
     }
 
-    /// Schedules `payload` at `time`; returns a handle for cancellation.
-    pub fn schedule(&mut self, time: SimTime, payload: T) -> EventId {
+    /// Schedules `payload` at instant `time`, in seconds.
+    ///
+    /// # Panics
+    /// Panics if `time` is NaN.
+    pub fn schedule(&mut self, time: f64, payload: T) {
+        assert!(!time.is_nan(), "an event instant cannot be NaN");
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Entry { time, seq, payload }));
-        EventId(seq)
     }
 
-    /// Cancels a previously scheduled event. Cancelling an already-popped
-    /// or already-cancelled event is a no-op returning `false`.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        self.cancelled.insert(id.0)
-    }
-
-    /// Pops the earliest live event, skipping tombstones.
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            return Some((entry.time, entry.payload));
-        }
-        None
-    }
-
-    /// The timestamp of the earliest live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(entry.time);
-        }
-        None
-    }
-
-    /// Number of live (non-cancelled) events still queued.
-    pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
-    }
-
-    /// True when no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Pops the earliest event (the first scheduled among equal
+    /// instants).
+    pub fn pop(&mut self) -> Option<(f64, T)> {
+        self.heap
+            .pop()
+            .map(|Reverse(entry)| (entry.time, entry.payload))
     }
 }
 
-impl<T: Eq> Default for EventQueue<T> {
+impl<T> Default for EventQueue<T> {
     fn default() -> Self {
         Self::new()
     }
@@ -112,51 +82,43 @@ impl<T: Eq> Default for EventQueue<T> {
 mod tests {
     use super::*;
 
-    fn t(s: f64) -> SimTime {
-        SimTime::new(s)
-    }
-
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(t(3.0), "c");
-        q.schedule(t(1.0), "a");
-        q.schedule(t(2.0), "b");
-        assert_eq!(q.pop(), Some((t(1.0), "a")));
-        assert_eq!(q.pop(), Some((t(2.0), "b")));
-        assert_eq!(q.pop(), Some((t(3.0), "c")));
+        q.schedule(3.0, "c");
+        q.schedule(1.0, "a");
+        q.schedule(2.0, "b");
+        assert_eq!(q.pop(), Some((1.0, "a")));
+        assert_eq!(q.pop(), Some((2.0, "b")));
+        assert_eq!(q.pop(), Some((3.0, "c")));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn equal_times_pop_fifo() {
         let mut q = EventQueue::new();
-        q.schedule(t(1.0), 1);
-        q.schedule(t(1.0), 2);
-        q.schedule(t(1.0), 3);
+        q.schedule(1.0, 1);
+        q.schedule(1.0, 2);
+        q.schedule(1.0, 3);
         assert_eq!(q.pop().map(|e| e.1), Some(1));
         assert_eq!(q.pop().map(|e| e.1), Some(2));
         assert_eq!(q.pop().map(|e| e.1), Some(3));
     }
 
     #[test]
-    fn cancellation_skips_event() {
+    fn negative_zero_pops_before_zero() {
         let mut q = EventQueue::new();
-        let a = q.schedule(t(1.0), "a");
-        q.schedule(t(2.0), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((t(2.0), "b")));
+        q.schedule(0.0, "positive");
+        q.schedule(-0.0, "negative");
+        let (t, first) = q.pop().unwrap();
+        assert_eq!((t.to_bits(), first), ((-0.0f64).to_bits(), "negative"));
+        assert_eq!(q.pop().map(|e| e.1), Some("positive"));
     }
 
     #[test]
-    fn peek_time_skips_tombstones() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1.0), "a");
-        q.schedule(t(5.0), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(5.0)));
+    #[should_panic(expected = "NaN")]
+    fn nan_instants_are_refused() {
+        EventQueue::new().schedule(f64::NAN, ());
     }
 
     mod props {
@@ -164,69 +126,35 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Pop order equals a stable sort by (time, scheduling order),
-            /// under arbitrary schedules and cancellations.
+            /// Pop order equals a stable sort of the instants under
+            /// `total_cmp`, on instants drawn from both zeros, two shared
+            /// values (equal instants) and uniform draws.
             #[test]
             fn prop_pop_order_is_stable_time_order(
-                times in proptest::collection::vec(0.0f64..100.0, 1..40),
-                cancel_mask in proptest::collection::vec(any::<bool>(), 1..40),
+                steps in proptest::collection::vec((0usize..5, 0.0f64..100.0), 1..40),
             ) {
+                let times: Vec<f64> = steps
+                    .iter()
+                    .map(|&(kind, x)| match kind {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => [1.0, 2.5][x as usize % 2],
+                        _ => x,
+                    })
+                    .collect();
                 let mut q = EventQueue::new();
-                let mut ids = Vec::new();
                 for (i, &t) in times.iter().enumerate() {
-                    ids.push((q.schedule(SimTime::new(t), i), t, i));
+                    q.schedule(t, i);
                 }
-                let mut expected: Vec<(f64, usize)> = Vec::new();
-                for (j, &(id, t, payload)) in ids.iter().enumerate() {
-                    let cancelled = cancel_mask.get(j).copied().unwrap_or(false);
-                    if cancelled {
-                        prop_assert!(q.cancel(id));
-                    } else {
-                        expected.push((t, payload));
-                    }
-                }
-                expected.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                let mut expected: Vec<(u64, usize)> =
+                    times.iter().map(|t| t.to_bits()).zip(0..).collect();
+                expected.sort_by(|a, b| f64::from_bits(a.0).total_cmp(&f64::from_bits(b.0)));
                 let mut got = Vec::new();
-                while let Some((t, p)) = q.pop() {
-                    got.push((t.secs(), p));
+                while let Some((t, i)) = q.pop() {
+                    got.push((t.to_bits(), i));
                 }
                 prop_assert_eq!(got, expected);
             }
-
-            /// len() always equals the number of live events.
-            #[test]
-            fn prop_len_matches_live_count(
-                n in 1usize..30,
-                cancels in proptest::collection::vec(0usize..30, 0..10),
-            ) {
-                let mut q = EventQueue::new();
-                let ids: Vec<EventId> =
-                    (0..n).map(|i| q.schedule(SimTime::new(i as f64), i)).collect();
-                let mut live = n;
-                let mut done = std::collections::HashSet::new();
-                for &c in &cancels {
-                    if c < n && done.insert(c) && q.cancel(ids[c]) {
-                        live -= 1;
-                    }
-                }
-                prop_assert_eq!(q.len(), live);
-                let mut popped = 0;
-                while q.pop().is_some() {
-                    popped += 1;
-                }
-                prop_assert_eq!(popped, live);
-            }
         }
-    }
-
-    #[test]
-    fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1.0), 1);
-        q.schedule(t(2.0), 2);
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 }

@@ -5,8 +5,9 @@
 //! The paper's study was performed with the SimGrid toolkit; `simkit`
 //! re-implements the slice of SimGrid that the study needs:
 //!
-//! * a deterministic **discrete-event engine** ([`engine::Engine`]) with a
-//!   stable event ordering,
+//! * a FIFO-stable **event queue** ([`event::EventQueue`]) keyed on
+//!   simulated instants, the core of the simulator's event-driven
+//!   cross-check,
 //! * **piecewise-constant timelines** ([`timeline::Timeline`]) describing
 //!   time-varying resource availability, with exact integration and
 //!   inversion (turning an amount of work into a completion instant),
@@ -35,17 +36,13 @@
 
 pub mod cache;
 pub mod cpu;
-pub mod engine;
 pub mod event;
 pub mod link;
 pub mod pool;
 pub mod rng;
-pub mod time;
 pub mod timeline;
 
 pub use cpu::Cpu;
-pub use engine::Engine;
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use link::{FluidLink, SharedLink};
-pub use time::SimTime;
 pub use timeline::{Cursor, Timeline};

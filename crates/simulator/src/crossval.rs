@@ -12,7 +12,6 @@ use crate::app::AppSpec;
 use crate::platform::Platform;
 use crate::schedule::{balanced_partition, equal_partition, fastest_hosts};
 use simkit::event::EventQueue;
-use simkit::SimTime;
 
 /// Event-driven computation of one BSP iteration; returns
 /// `(compute_end, iteration_end)`.
@@ -53,11 +52,10 @@ pub fn run_iteration_des(
 
     let mut queue: EventQueue<usize> = EventQueue::new();
     for i in 0..procs.len() {
-        queue.schedule(SimTime::new(t0), i);
+        queue.schedule(t0, i);
     }
 
-    while let Some((t, i)) = queue.pop() {
-        let now = t.secs();
+    while let Some((now, i)) = queue.pop() {
         let p = &mut procs[i];
         if p.remaining <= 0.0 {
             p.done_at.get_or_insert(now);
@@ -72,7 +70,7 @@ pub fn run_iteration_des(
             match next_bp {
                 Some(bp) if bp < finish => {
                     p.remaining -= rate * (bp - now);
-                    queue.schedule(SimTime::new(bp), i);
+                    queue.schedule(bp, i);
                 }
                 _ => {
                     p.remaining = 0.0;
@@ -82,7 +80,7 @@ pub fn run_iteration_des(
         } else {
             let bp =
                 next_bp.unwrap_or_else(|| panic!("process on host {} can never finish", p.host));
-            queue.schedule(SimTime::new(bp), i);
+            queue.schedule(bp, i);
         }
     }
 

@@ -70,21 +70,6 @@ pub struct RunResult {
     pub truncated: bool,
 }
 
-impl RunResult {
-    /// Mean iteration duration (compute + communication, excluding
-    /// adaptation pauses).
-    pub fn mean_iteration_time(&self) -> f64 {
-        if self.iterations.is_empty() {
-            return 0.0;
-        }
-        self.iterations
-            .iter()
-            .map(IterationRecord::duration)
-            .sum::<f64>()
-            / self.iterations.len() as f64
-    }
-}
-
 /// Outcome of one iteration's compute+communicate phases.
 #[derive(Clone, Debug, Default)]
 pub struct IterationOutcome {

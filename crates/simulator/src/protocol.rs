@@ -13,9 +13,11 @@
 //! performance reports from every active handler, probe request/reply
 //! with every spare handler, the decision computation, directives, and
 //! the state transfer(s) — as messages serialized over the single shared
-//! link, using the `simkit` event engine. For the paper's parameters the
-//! non-transfer overhead is a few milliseconds against minute-scale
-//! iterations (see the tests and `protocol_overhead`).
+//! link. The round's message sequence is fixed, so it is computed phase
+//! by phase: each phase sends its messages at the instant the previous
+//! phase ends, and they queue on the link in FIFO order. For the paper's
+//! parameters the non-transfer overhead is a few milliseconds against
+//! minute-scale iterations (see the tests and `protocol_overhead`).
 //!
 //! With [`simulate_decision_round_traced`] the round emits typed `obs`
 //! events — one [`obs::TraceEvent::ProtocolMsg`] per link message with
@@ -27,9 +29,6 @@
 use obs::{ProtocolStep, SharedSink, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 use simkit::link::SharedLink;
-use simkit::{Engine, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Message sizes and costs of one decision round.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -110,6 +109,8 @@ struct LinkQueue {
     link: SharedLink,
     free_at: f64,
     busy_total: f64,
+    /// Messages sent so far.
+    sent: usize,
     /// Completion times of messages still occupying or queued on the
     /// link; drained lazily on each send to derive queue depth.
     pending: Vec<f64>,
@@ -122,6 +123,7 @@ impl LinkQueue {
         let occupancy = self.link.transfer_time(bytes);
         self.free_at = start + occupancy;
         self.busy_total += occupancy;
+        self.sent += 1;
         if let Some(sink) = &self.sink {
             self.pending.retain(|&end| end > now);
             self.pending.push(self.free_at);
@@ -141,7 +143,7 @@ impl LinkQueue {
     }
 }
 
-/// Simulates one decision round with the discrete-event engine.
+/// Simulates one decision round over the shared link.
 ///
 /// Round structure (each arrow is a queued link message):
 /// 1. every active handler → manager: performance report;
@@ -169,107 +171,70 @@ pub fn simulate_decision_round_traced(params: &ProtocolParams, sink: &SharedSink
     round_with_sink(params, Some(sink.clone()))
 }
 
-fn round_with_sink(params: &ProtocolParams, sink: Option<SharedSink>) -> RoundOutcome {
+fn round_with_sink(p: &ProtocolParams, sink: Option<SharedSink>) -> RoundOutcome {
     assert!(
-        params.swaps <= params.n_active.min(params.n_spares),
+        p.swaps <= p.n_active.min(p.n_spares),
         "cannot swap more processes than active/spare pairs exist"
     );
-    let mut engine = Engine::new();
-    let queue = Rc::new(RefCell::new(LinkQueue {
-        link: params.link,
+    let mut link = LinkQueue {
+        link: p.link,
         free_at: 0.0,
         busy_total: 0.0,
+        sent: 0,
         pending: Vec::new(),
         sink,
-    }));
-    let outcome = Rc::new(RefCell::new(RoundOutcome {
-        decision_ready: 0.0,
-        directives_delivered: 0.0,
-        round_complete: 0.0,
-        messages: 0,
-        link_busy: 0.0,
-    }));
+    };
 
     // Phase 1: reports at t=0.
     let mut reports_done = 0.0f64;
-    for _ in 0..params.n_active {
-        let done = queue
-            .borrow_mut()
-            .send(0.0, params.report_bytes, ProtocolStep::Report);
-        outcome.borrow_mut().messages += 1;
-        reports_done = reports_done.max(done);
+    for _ in 0..p.n_active {
+        reports_done = reports_done.max(link.send(0.0, p.report_bytes, ProtocolStep::Report));
     }
 
     // Phase 2: probes fire once all reports are in.
-    let p = *params;
-    let queue2 = Rc::clone(&queue);
-    let outcome2 = Rc::clone(&outcome);
-    engine.schedule_at(SimTime::new(reports_done), move |eng| {
-        let mut last_reply = eng.now().secs();
-        for _ in 0..p.n_spares {
-            let req_arrives = queue2.borrow_mut().send(
-                eng.now().secs(),
-                p.probe_request_bytes,
-                ProtocolStep::ProbeRequest,
-            );
-            let reply_arrives = queue2.borrow_mut().send(
-                req_arrives,
-                p.probe_reply_bytes,
-                ProtocolStep::ProbeReply,
-            );
-            outcome2.borrow_mut().messages += 2;
-            last_reply = last_reply.max(reply_arrives);
-        }
+    let mut last_reply = reports_done;
+    for _ in 0..p.n_spares {
+        let req_arrives = link.send(
+            reports_done,
+            p.probe_request_bytes,
+            ProtocolStep::ProbeRequest,
+        );
+        let reply_arrives = link.send(req_arrives, p.probe_reply_bytes, ProtocolStep::ProbeReply);
+        last_reply = last_reply.max(reply_arrives);
+    }
 
-        // Phase 3: decision.
-        if let Some(sink) = &queue2.borrow().sink {
-            sink.emit(TraceEvent::ProtocolCompute {
-                t0: last_reply,
-                t1: last_reply + p.decision_compute,
-            });
-        }
-        let queue3 = Rc::clone(&queue2);
-        let outcome3 = Rc::clone(&outcome2);
-        eng.schedule_at(SimTime::new(last_reply + p.decision_compute), move |eng| {
-            outcome3.borrow_mut().decision_ready = eng.now().secs();
-
-            // Phase 4: directives to both sides of every swap.
-            let mut directives_done = eng.now().secs();
-            for _ in 0..(2 * p.swaps) {
-                let done = queue3.borrow_mut().send(
-                    eng.now().secs(),
-                    p.directive_bytes,
-                    ProtocolStep::Directive,
-                );
-                outcome3.borrow_mut().messages += 1;
-                directives_done = directives_done.max(done);
-            }
-            outcome3.borrow_mut().directives_delivered = directives_done;
-
-            // Phase 5: state transfers.
-            let queue4 = Rc::clone(&queue3);
-            let outcome4 = Rc::clone(&outcome3);
-            eng.schedule_at(SimTime::new(directives_done), move |eng| {
-                let mut complete = eng.now().secs();
-                for _ in 0..p.swaps {
-                    let done = queue4.borrow_mut().send(
-                        eng.now().secs(),
-                        p.state_bytes,
-                        ProtocolStep::StateTransfer,
-                    );
-                    outcome4.borrow_mut().messages += 1;
-                    complete = complete.max(done);
-                }
-                outcome4.borrow_mut().round_complete = complete;
-            });
+    // Phase 3: decision.
+    let decision_ready = last_reply + p.decision_compute;
+    if let Some(sink) = &link.sink {
+        sink.emit(TraceEvent::ProtocolCompute {
+            t0: last_reply,
+            t1: decision_ready,
         });
-    });
+    }
 
-    engine.run();
-    let mut out = *outcome.borrow();
-    out.link_busy = queue.borrow().busy_total;
+    // Phase 4: directives to both sides of every swap.
+    let mut directives_done = decision_ready;
+    for _ in 0..(2 * p.swaps) {
+        let done = link.send(decision_ready, p.directive_bytes, ProtocolStep::Directive);
+        directives_done = directives_done.max(done);
+    }
+
+    // Phase 5: state transfers.
+    let mut complete = directives_done;
+    for _ in 0..p.swaps {
+        let done = link.send(directives_done, p.state_bytes, ProtocolStep::StateTransfer);
+        complete = complete.max(done);
+    }
+
+    let mut out = RoundOutcome {
+        decision_ready,
+        directives_delivered: directives_done,
+        round_complete: complete,
+        messages: link.sent,
+        link_busy: link.busy_total,
+    };
     // No-swap rounds complete when the decision is made.
-    if params.swaps == 0 {
+    if p.swaps == 0 {
         out.round_complete = out.decision_ready.max(out.directives_delivered);
         out.directives_delivered = out.round_complete;
     }

@@ -351,8 +351,8 @@ pub struct Replication<'a> {
     /// spec runs exactly as `None`.
     pub faults: Option<&'a faults::FaultSpec>,
     /// Optional decision-policy bundle, consulted at recovery placement
-    /// and checkpoint cadence. [`policy::PolicySet::legacy`] times every
-    /// run exactly as `None`.
+    /// and checkpoint cadence. The default [`policy::PolicyConfig`]'s set
+    /// times every run exactly as `None`.
     pub policies: Option<&'a policy::PolicySet>,
 }
 
@@ -836,7 +836,7 @@ mod tests {
                 link_factor: 0.25,
                 ..faults::FaultSpec::crashes_only(600.0, 7)
             };
-            let legacy = policy::PolicySet::legacy();
+            let legacy = policy::PolicyConfig::default().build(0.0);
             let mtbf_aware =
                 policy::PolicyConfig::for_placement(policy::PlacementChoice::MtbfAware).build(0.0);
             let mut table = Vec::new();

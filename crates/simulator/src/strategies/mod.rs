@@ -202,28 +202,24 @@ pub(crate) fn rank_by_probe(
 
 /// Builds the [`policy::SpareCandidate`] descriptors a placement policy
 /// sees: one per probe-ranked candidate, carrying everything the fault
-/// plan makes observable (effective MTBF, distribution family, failure
-/// domain, last rack alarm at or before `t1`).
+/// plan makes observable (effective MTBF, distribution family, last rack
+/// alarm at or before `t1`).
 fn policy_candidates(
     ctx: &RunContext<'_>,
     ranked: &[usize],
-    t0: f64,
     t1: f64,
 ) -> Vec<policy::SpareCandidate> {
     let plan = ctx.faults;
     ranked
         .iter()
-        .map(|&h| {
-            let domain = plan.domain_of(h);
-            policy::SpareCandidate {
-                host: h,
-                probe_rate: crate::exec::probe_host(ctx.platform, h, t0, t1),
-                uptime_secs: t1,
-                mtbf_secs: plan.host_mtbf(h),
-                dist: plan.crash_dist,
-                domain,
-                last_domain_shock: domain.and_then(|d| plan.last_shock_before(d, t1)),
-            }
+        .map(|&h| policy::SpareCandidate {
+            host: h,
+            uptime_secs: t1,
+            mtbf_secs: plan.host_mtbf(h),
+            dist: plan.crash_dist,
+            last_domain_shock: plan
+                .domain_of(h)
+                .and_then(|d| plan.last_shock_before(d, t1)),
         })
         .collect()
 }
@@ -246,9 +242,8 @@ pub(crate) fn choose_spare(
     let Some(ps) = ctx.policies else {
         return probe_ranked;
     };
-    let ranked = ps
-        .placement
-        .rank(&policy_candidates(ctx, &probe_ranked, t0, t1), t1);
+    let candidates = policy_candidates(ctx, &probe_ranked, t1);
+    let ranked = ps.placement.rank(&candidates, t1, ps.lookback_secs);
     ctx.emit(|| obs::TraceEvent::PolicyDecision {
         t: t1,
         policy: ps.placement.name().to_owned(),

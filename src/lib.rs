@@ -5,11 +5,12 @@
 //!
 //! * [`swap_core`] — policies, payback algebra, decision engine (the
 //!   paper's contribution).
-//! * [`simkit`] — discrete-event + fluid simulation substrate.
+//! * [`simkit`] — fluid simulation substrate: timelines, CPU and link
+//!   models, an event queue, the worker pool.
 //! * [`loadmodel`] — ON/OFF and hyperexponential CPU load models.
 //! * [`faults`] — deterministic fault injection: crash/blackout/link
 //!   schedules, correlated rack shocks, per-host MTBF spread.
-//! * [`policy`] — the pluggable decision layer: spare-placement and
+//! * [`policy`] — the decision layer: the named spare-placement and
 //!   checkpoint-interval policies the strategies consult.
 //! * [`minimpi`] — in-process MPI-like runtime with live process swapping.
 //! * [`simulator`] — platform/application models and the four execution
