@@ -152,12 +152,12 @@ fn bench_predict(c: &mut Criterion) {
     // call; this group guards that property.
     let mut group = c.benchmark_group("perf_history_predict");
     for &samples in &[16usize, 256, 2048] {
-        let mut h = PerfHistory::with_retention(1e9);
+        let now = samples as f64 * 30.0;
+        let window = HistoryWindow::seconds(now); // keep every sample in range
+        let mut h = PerfHistory::new(window);
         for i in 0..samples {
             h.record(i as f64 * 30.0, 1e8 + (i as f64 * 7919.0) % 3e8);
         }
-        let now = samples as f64 * 30.0;
-        let window = HistoryWindow::seconds(now); // keep every sample in range
         let predictors = [
             ("mean", Predictor::WindowedMean),
             ("median", Predictor::WindowedMedian),

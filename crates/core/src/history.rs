@@ -66,38 +66,36 @@ pub enum Predictor {
     TimeWeightedMean,
 }
 
-/// A bounded history of `(timestamp, performance)` samples for one
-/// processor.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// The `(timestamp, performance)` samples of one processor that a
+/// prediction over its window can still read.
+#[derive(Clone, Debug)]
 pub struct PerfHistory {
     samples: VecDeque<(f64, f64)>,
-    /// Samples older than this horizon (relative to the newest) are pruned.
+    /// Samples older than this (relative to the newest) are dropped: the
+    /// window, or [`MIN_RETENTION`] when the window is shorter.
     retention: f64,
 }
 
-/// Default retention: longer than any policy window in the paper (5 min),
-/// with margin for ablation sweeps.
-const DEFAULT_RETENTION: f64 = 3600.0;
+/// The shortest span a history keeps, whatever its window. Dropping
+/// samples sooner changes no prediction, but it changes when the
+/// histories allocate; through glibc's dynamic mmap threshold, that
+/// raised perfbench `trace_export`'s peak RSS by 26–31% for most
+/// `argv[0]` lengths (glibc 2.36, 2-vCPU container).
+const MIN_RETENTION: f64 = 3600.0;
 
 impl PerfHistory {
-    /// An empty history with the default retention horizon.
-    pub fn new() -> Self {
+    /// An empty history that keeps what [`PerfHistory::predict`] over
+    /// `window` reads at or after the newest sample.
+    pub fn new(window: HistoryWindow) -> Self {
         PerfHistory {
             samples: VecDeque::new(),
-            retention: DEFAULT_RETENTION,
+            retention: window.secs().max(MIN_RETENTION),
         }
     }
 
-    /// An empty history that retains at least `secs` seconds of samples.
-    pub fn with_retention(secs: f64) -> Self {
-        assert!(secs > 0.0, "retention must be positive");
-        PerfHistory {
-            samples: VecDeque::new(),
-            retention: secs,
-        }
-    }
-
-    /// Records a performance sample at time `t`.
+    /// Records a performance sample at time `t`, and drops the samples
+    /// no prediction at or after `t` reads: those older than the
+    /// retention span. The newest sample always stays.
     ///
     /// # Panics
     /// Panics if timestamps go backwards or the value is not finite and
@@ -108,12 +106,11 @@ impl PerfHistory {
             assert!(t >= last_t, "samples must be time-ordered");
         }
         self.samples.push_back((t, value));
-        while let Some(&(front_t, _)) = self.samples.front() {
-            if t - front_t > self.retention && self.samples.len() > 1 {
-                self.samples.pop_front();
-            } else {
-                break;
-            }
+        // A sample before `t − retention` is before `now − window` for
+        // every `now >= t`, so no prediction reads it.
+        let cutoff = t - self.retention;
+        while self.samples.len() > 1 && self.samples[0].0 < cutoff {
+            self.samples.pop_front();
         }
     }
 
@@ -289,7 +286,7 @@ mod tests {
     use super::*;
 
     fn history(samples: &[(f64, f64)]) -> PerfHistory {
-        let mut h = PerfHistory::new();
+        let mut h = PerfHistory::new(HistoryWindow::instantaneous());
         for &(t, v) in samples {
             h.record(t, v);
         }
@@ -298,7 +295,7 @@ mod tests {
 
     #[test]
     fn empty_history_predicts_nothing() {
-        let h = PerfHistory::new();
+        let h = history(&[]);
         assert_eq!(
             h.predict(Predictor::LastValue, HistoryWindow::instantaneous(), 0.0),
             None
@@ -372,18 +369,29 @@ mod tests {
 
     #[test]
     fn retention_prunes_but_keeps_newest() {
-        let mut h = PerfHistory::with_retention(10.0);
+        // A window shorter than an hour keeps an hour; a sample exactly
+        // that old stays.
+        let mut h = PerfHistory::new(HistoryWindow::seconds(10.0));
         h.record(0.0, 1.0);
-        h.record(5.0, 2.0);
-        h.record(100.0, 3.0);
+        h.record(3600.0, 2.0);
+        assert_eq!(h.len(), 2);
+        h.record(3700.0, 3.0);
+        assert_eq!(h.len(), 2);
+        // A longer window keeps the whole window, and the newest sample
+        // always stays.
+        let mut h = PerfHistory::new(HistoryWindow::seconds(7200.0));
+        h.record(0.0, 1.0);
+        h.record(7200.0, 2.0);
+        assert_eq!(h.len(), 2);
+        h.record(20_000.0, 3.0);
         assert_eq!(h.len(), 1);
-        assert_eq!(h.last(), Some((100.0, 3.0)));
+        assert_eq!(h.last(), Some((20_000.0, 3.0)));
     }
 
     #[test]
     #[should_panic(expected = "time-ordered")]
     fn rejects_out_of_order_samples() {
-        let mut h = PerfHistory::new();
+        let mut h = history(&[]);
         h.record(5.0, 1.0);
         h.record(4.0, 1.0);
     }

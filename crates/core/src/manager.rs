@@ -5,7 +5,7 @@
 //! [`ManagerCore`]; each emits its own audit event for the decision.
 
 use crate::decision::{DecisionEngine, ProcessorSnapshot, SwapDecision};
-use crate::history::PerfHistory;
+use crate::history::{HistoryWindow, PerfHistory};
 use crate::payback::SwapCost;
 use crate::policy::PolicyParams;
 
@@ -42,14 +42,16 @@ pub struct ManagerCore {
 impl ManagerCore {
     /// A core for processors `0..n_procs`. With a policy it decides
     /// under that policy at `cost`, admitting at most `max_swaps`
-    /// exchanges per decision point when given; without one it only
-    /// keeps histories and [`ManagerCore::decide`] answers `None`.
+    /// exchanges per decision point when given, and each history keeps
+    /// the policy's window; without one it only keeps histories and
+    /// [`ManagerCore::decide`] answers `None`.
     pub fn new(
         n_procs: usize,
         policy: Option<PolicyParams>,
         cost: SwapCost,
         max_swaps: Option<usize>,
     ) -> Self {
+        let window = policy.map_or(HistoryWindow::instantaneous(), |p| p.history);
         let engine = policy.map(|policy| {
             let engine = DecisionEngine::new(policy, cost);
             match max_swaps {
@@ -59,7 +61,7 @@ impl ManagerCore {
         });
         ManagerCore {
             engine,
-            histories: vec![PerfHistory::new(); n_procs],
+            histories: vec![PerfHistory::new(window); n_procs],
             snapshots: Vec::new(),
         }
     }
@@ -117,7 +119,7 @@ impl ManagerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{HistoryWindow, Predictor};
+    use crate::history::Predictor;
     use proptest::prelude::*;
 
     #[test]
@@ -128,6 +130,27 @@ mod tests {
         assert_eq!(core.decide([(0, true), (1, false)], 1.0, 1.0, 1e6), None);
         assert_eq!(core.history(1).last(), Some((1.0, 20.0)));
         assert!(core.snapshots().is_empty());
+    }
+
+    #[test]
+    fn a_two_hour_window_reads_two_hours_of_history() {
+        // A minute apart for two hours: 1.0 through the first hour, 3.0
+        // after. A history kept for one hour predicted 3.0.
+        let policy = PolicyParams {
+            history: HistoryWindow::seconds(7200.0),
+            predictor: Predictor::WindowedMean,
+            ..PolicyParams::safe()
+        };
+        let mut core = ManagerCore::new(2, Some(policy), SwapCost::new(1e-4, 6e6), None);
+        for k in 0..=120 {
+            let t = 60.0 * k as f64;
+            core.record(0, t, if t < 3600.0 { 1.0 } else { 3.0 });
+        }
+        core.record(1, 7200.0, 1.0);
+        core.decide([(0, true), (1, false)], 7200.0, 60.0, 1e6);
+        let mean = (60.0 * 1.0 + 61.0 * 3.0) / 121.0;
+        assert!((core.snapshots()[0].predicted_perf - mean).abs() < 1e-12);
+        assert_eq!(core.history(0).len(), 121);
     }
 
     proptest! {
@@ -167,7 +190,7 @@ mod tests {
             };
             let cost = SwapCost::new(1e-4, 6e6);
             let mut core = ManagerCore::new(n, Some(policy), cost, max_swaps);
-            let mut hand = vec![PerfHistory::new(); n];
+            let mut hand = vec![PerfHistory::new(policy.history); n];
             // Every processor gets a sample at t = 0, then each further
             // sample goes to a random processor at a later time.
             let mut now = 0.0;

@@ -124,6 +124,8 @@ fn main() {
                     let m: f64 = flags.mtbf.or(operand(&ops, 1, "mtbf")).unwrap_or(3_000.0);
                     let duty: f64 = operand(&ops, 2, "duty").unwrap_or(0.5);
                     let state: f64 = operand(&ops, 3, "state_bytes").unwrap_or(1e8);
+                    check_operating_point(duty, state, 4, HOSTS, m)
+                        .unwrap_or_else(|msg| fail(&msg));
                     run_placement_tournament(
                         m,
                         flags.fault_seed.unwrap_or(0),
@@ -144,9 +146,11 @@ fn main() {
                     eprintln!("\n# save as policy.json, edit, then: swapsim policy policy.json");
                 }
                 Some(path) => {
-                    let policy = read_json(path, "a valid PolicyParams JSON");
                     let duty: f64 = operand(&ops, 1, "duty").unwrap_or(0.5);
                     let state: f64 = operand(&ops, 2, "state_bytes").unwrap_or(1e8);
+                    check_operating_point(duty, state, 4, HOSTS, 0.0)
+                        .unwrap_or_else(|msg| fail(&msg));
+                    let policy = read_json(path, "a valid PolicyParams JSON");
                     run_policy_eval(policy, duty, state, &scale);
                 }
             }
@@ -329,6 +333,7 @@ fn main() {
             let m: f64 = flags.mtbf.or(operand(&ops, 0, "mtbf")).unwrap_or(3_000.0);
             let duty: f64 = operand(&ops, 1, "duty").unwrap_or(0.5);
             let state: f64 = operand(&ops, 2, "state_bytes").unwrap_or(1e8);
+            check_operating_point(duty, state, 4, HOSTS, m).unwrap_or_else(|msg| fail(&msg));
             run_faults_compare(
                 m,
                 flags.fault_seed.unwrap_or(0),
@@ -343,6 +348,7 @@ fn main() {
             // space at one operating point.
             let duty: f64 = operand(&ops, 0, "duty").unwrap_or(0.5);
             let state: f64 = operand(&ops, 1, "state_bytes").unwrap_or(1e8);
+            check_operating_point(duty, state, 4, HOSTS, 0.0).unwrap_or_else(|msg| fail(&msg));
             let (nothing, results) = experiments::tuner::tune(duty, state, &scale);
             println!(
                 "policy grid search at duty {duty}, state {state:.0} B ({} policies, NOTHING = {nothing:.0} s)\n",
@@ -375,7 +381,9 @@ fn main() {
             let duty: f64 = operand(&ops, 0, "duty").unwrap_or(0.5);
             let state: f64 = operand(&ops, 1, "state_bytes").unwrap_or(1e6);
             let n_active: usize = operand(&ops, 2, "n_active").unwrap_or(4);
-            let alloc: usize = operand(&ops, 3, "alloc").unwrap_or(32);
+            let alloc: usize = operand(&ops, 3, "alloc").unwrap_or(HOSTS);
+            check_operating_point(duty, state, n_active, alloc, 0.0)
+                .unwrap_or_else(|msg| fail(&msg));
             run_compare(duty, state, n_active, alloc, &scale);
         }
         "gantt" => {
@@ -384,6 +392,7 @@ fn main() {
             let strategy_name = ops.first().copied().unwrap_or("swap");
             let duty: f64 = operand(&ops, 1, "duty").unwrap_or(0.5);
             let seed: u64 = operand(&ops, 2, "seed").unwrap_or(0);
+            check_operating_point(duty, 1e6, 4, HOSTS, 0.0).unwrap_or_else(|msg| fail(&msg));
             run_gantt(strategy_name, duty, seed, &scale, trace_path);
         }
         "report" => {
@@ -536,7 +545,7 @@ fn run_policy_eval(policy: swap_core::PolicyParams, duty: f64, state: f64, scale
 
     let mut app = simulator::AppSpec::hpdc03(4, state);
     app.iterations = scale.iterations;
-    let spec = platform(onoff_duty(duty.clamp(0.0, 0.99)));
+    let spec = platform(onoff_duty(duty));
     let seeds = scale.seed_list();
     let run = |strategy: &dyn Strategy, allocated| {
         Replication::new(&spec, &app, strategy, allocated, &seeds)
@@ -580,7 +589,7 @@ fn run_placement_tournament(
 
     let mut app = simulator::AppSpec::hpdc03(4, state);
     app.iterations = scale.iterations;
-    let spec = platform(onoff_duty(duty.clamp(0.0, 0.99)));
+    let spec = platform(onoff_duty(duty));
     let seeds = scale.seed_list();
     let mut fs = faults::FaultSpec::correlated_shocks(4, mtbf * 4.0, 900.0, 0.6, fault_seed);
     fs.mtbf_secs = mtbf;
@@ -652,7 +661,7 @@ fn run_compare(duty: f64, state: f64, n_active: usize, alloc: usize, scale: &Sca
 
     let mut app = simulator::AppSpec::hpdc03(n_active, state);
     app.iterations = scale.iterations;
-    let spec = platform(onoff_duty(duty.clamp(0.0, 0.99)));
+    let spec = platform(onoff_duty(duty));
     let seeds = scale.seed_list();
 
     println!(
@@ -707,7 +716,7 @@ fn run_faults_compare(
 
     let mut app = simulator::AppSpec::hpdc03(4, state);
     app.iterations = scale.iterations;
-    let spec = platform(onoff_duty(duty.clamp(0.0, 0.99)));
+    let spec = platform(onoff_duty(duty));
     let seeds = scale.seed_list();
     let fs = faults::FaultSpec::crashes_only(mtbf, fault_seed);
 
@@ -785,7 +794,7 @@ fn run_gantt(strategy_name: &str, duty: f64, seed: u64, scale: &Scale, trace_pat
     };
     let mut app = simulator::AppSpec::hpdc03(4, 1.0e6);
     app.iterations = scale.iterations;
-    let p = platform(onoff_duty(duty.clamp(0.0, 0.99))).realize(seed);
+    let p = platform(onoff_duty(duty)).realize(seed);
     let collector = trace_path.map(|_| obs::Collector::new());
     let mut ctx = RunContext::new(&p, &app, alloc);
     if let Some(c) = &collector {
@@ -851,7 +860,10 @@ const VALUE_FLAGS: [(&str, &str, Store); 6] = [
         v.parse().ok().map(|p| f.trace = Some(p))
     }),
     ("--mtbf", "seconds (0 = faults off)", |f, v| {
-        v.parse().ok().map(|m| f.mtbf = Some(m))
+        v.parse()
+            .ok()
+            .filter(|m: &f64| m.is_finite() && *m >= 0.0)
+            .map(|m| f.mtbf = Some(m))
     }),
     ("--fault-seed", "an integer", |f, v| {
         v.parse().ok().map(|s| f.fault_seed = Some(s))
@@ -928,9 +940,50 @@ fn check_protocol(
             "swaps expects at most min(n_active, n_spares) = {pairs}, got {swaps}"
         ));
     }
+    check_state(state)
+}
+
+/// Refuses a process state size that is negative or not finite.
+fn check_state(state: f64) -> Result<(), String> {
     if !(state.is_finite() && state >= 0.0) {
         return Err(format!(
             "state_bytes expects a finite byte count >= 0, got {state}"
+        ));
+    }
+    Ok(())
+}
+
+/// Hosts on the figures' platform ([`experiments::figures::platform`]):
+/// the most an operating point may allocate.
+const HOSTS: usize = 32;
+
+/// Refuses an ON/OFF operating point that cannot run, or would run as
+/// something other than the header prints: a duty cycle outside [0, 1), a
+/// negative or non-finite state size, `n_active` outside 1..=32, `alloc`
+/// outside `n_active`..=32, or a negative or non-finite crash MTBF (0
+/// turns faults off). The message names the operand.
+fn check_operating_point(
+    duty: f64,
+    state: f64,
+    n_active: usize,
+    alloc: usize,
+    mtbf: f64,
+) -> Result<(), String> {
+    if !(0.0..1.0).contains(&duty) {
+        return Err(format!("duty expects a duty cycle in [0, 1), got {duty}"));
+    }
+    check_state(state)?;
+    if !(1..=HOSTS).contains(&n_active) {
+        return Err(format!("n_active expects 1 to {HOSTS}, got {n_active}"));
+    }
+    if !(n_active..=HOSTS).contains(&alloc) {
+        return Err(format!(
+            "alloc expects n_active ({n_active}) to {HOSTS}, got {alloc}"
+        ));
+    }
+    if !(mtbf.is_finite() && mtbf >= 0.0) {
+        return Err(format!(
+            "mtbf expects finite seconds >= 0 (0 = faults off), got {mtbf}"
         ));
     }
     Ok(())
@@ -978,7 +1031,7 @@ fn usage_and_exit() -> ! {
 
 #[cfg(test)]
 mod tests {
-    use super::{check_protocol, parse_args};
+    use super::{check_operating_point, check_protocol, parse_args, HOSTS};
 
     /// The flags and operands of a whole command line (command first),
     /// or the message it exits 2 with.
@@ -1080,6 +1133,51 @@ mod tests {
         {
             assert_eq!(check_protocol(n_active, n_spares, state, swaps), Ok(()));
         }
+    }
+
+    #[test]
+    fn operating_points_refuse_what_they_cannot_run() {
+        // Each of these once panicked inside the simulator, or ran other
+        // than its header printed: a duty clamped to 0.99, an allocation
+        // clamped into [n_active, 32], a negative MTBF that injected no
+        // fault.
+        let named = |duty, state, n_active, alloc, mtbf| {
+            let msg = check_operating_point(duty, state, n_active, alloc, mtbf).unwrap_err();
+            msg.split(' ').next().unwrap().to_owned()
+        };
+        for duty in [1.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
+            assert_eq!(named(duty, 1e6, 4, 32, 0.0), "duty");
+        }
+        for state in [-1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(named(0.5, state, 4, 32, 0.0), "state_bytes");
+        }
+        for n_active in [0, 33, 40] {
+            assert_eq!(named(0.5, 1e6, n_active, 32, 0.0), "n_active");
+        }
+        for (n_active, alloc) in [(4, 2), (4, 33), (4, 64), (32, 31)] {
+            assert_eq!(named(0.5, 1e6, n_active, alloc, 0.0), "alloc");
+        }
+        for mtbf in [-5.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(named(0.5, 1e6, 4, 32, mtbf), "mtbf");
+        }
+        for (duty, state, n_active, alloc, mtbf) in [
+            (0.5, 1e6, 4, 32, 0.0),
+            (0.0, 0.0, 1, 1, 1500.0),
+            (0.995, 1e9, 32, 32, 3000.0),
+        ] {
+            assert_eq!(
+                check_operating_point(duty, state, n_active, alloc, mtbf),
+                Ok(())
+            );
+        }
+        // `--mtbf` takes the same range, and 32 is the figures' platform.
+        assert_eq!(
+            parse("faults --mtbf -5").err(),
+            Some("--mtbf expects seconds (0 = faults off), got '-5'".into())
+        );
+        assert!(parse("run s.json --mtbf 0").is_ok());
+        let spec = experiments::figures::platform(experiments::figures::onoff_duty(0.5));
+        assert_eq!(spec.n_hosts, HOSTS);
     }
 
     #[test]

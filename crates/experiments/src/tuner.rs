@@ -58,11 +58,15 @@ pub fn grid() -> Vec<PolicyParams> {
 
 /// Evaluates the whole grid at one operating point and returns the
 /// results best-first (plus the NOTHING baseline mean for context).
+///
+/// # Panics
+/// Panics unless `duty` is in [0, 1) and `state_bytes` is finite and
+/// non-negative.
 pub fn tune(duty: f64, state_bytes: f64, scale: &Scale) -> (f64, Vec<TunedPolicy>) {
     scale.validate();
     let mut app = AppSpec::hpdc03(4, state_bytes);
     app.iterations = scale.iterations;
-    let spec = platform(onoff_duty(duty.clamp(0.0, 0.99)));
+    let spec = platform(onoff_duty(duty));
     let seeds = scale.seed_list();
     // The baseline fans over seeds; the grid then fans over policies —
     // both bit-identical to serial at any `jobs` setting.

@@ -9,9 +9,9 @@
 //! forwarding).
 
 use crate::msg::{Msg, Tag};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use obs::TraceSink as _;
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,7 +57,7 @@ impl Router {
     /// holder of each slot).
     pub fn new(n_slots: usize) -> (Router, Vec<Receiver<Msg>>) {
         assert!(n_slots >= 1, "need at least one slot");
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_slots).map(|_| unbounded()).unzip();
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_slots).map(|_| channel()).unzip();
         (
             Router {
                 senders: Arc::new(senders),

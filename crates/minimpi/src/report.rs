@@ -63,14 +63,6 @@ impl<S> RunReport<S> {
         }
         self.rounds.iter().map(|r| r.max_iter_secs).sum::<f64>() / self.rounds.len() as f64
     }
-
-    /// True if `worker` ever held a slot (started active or was swapped
-    /// in).
-    pub fn worker_was_active(&self, worker: usize, n_active: usize) -> bool {
-        worker < n_active
-            || self.swap_events.iter().any(|e| e.to_worker == worker)
-            || self.final_placement.contains(&worker)
-    }
 }
 
 #[cfg(test)]
@@ -106,9 +98,6 @@ mod tests {
             truncated: false,
         };
         assert_eq!(report.swap_count(), 1);
-        assert!(report.worker_was_active(0, 2)); // initial active
-        assert!(report.worker_was_active(3, 2)); // swapped in
-        assert!(!report.worker_was_active(2, 2)); // never used
         assert!((report.mean_iteration_secs() - 0.5).abs() < 1e-12);
     }
 

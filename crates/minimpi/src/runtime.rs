@@ -12,7 +12,7 @@
 //!    other round feeds everything through the configured [`Decider`];
 //! 3. admitted exchanges move the process state *and* the slot's
 //!    communicator endpoint from the displaced worker to the spare over a
-//!    rendezvous channel; the displaced worker parks as a spare, the
+//!    one-message channel; the displaced worker parks as a spare, the
 //!    spare resumes the iteration loop exactly where the process left
 //!    off;
 //! 4. everyone else gets `Continue`.
@@ -25,8 +25,8 @@ use crate::app::IterativeApp;
 use crate::comm::{CommParts, CommTracer, Router, SlotComm};
 use crate::load::LoadInjector;
 use crate::report::{RoundRecord, RunReport, SwapEvent};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use loadmodel::LoadTrace;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 use swap_core::{ManagerCore, PolicyParams, SwapCost};
@@ -247,14 +247,14 @@ pub fn run_iterative<A: IterativeApp>(config: RuntimeConfig, app: A) -> RunRepor
         .map(|sink| Arc::new(CommTracer::new(sink, started, config.compression)));
 
     let (router, slot_rxs) = Router::new(config.n_active);
-    let (report_tx, report_rx) = unbounded::<Report>();
-    let (result_tx, result_rx) = unbounded::<(usize, A::State)>();
+    let (report_tx, report_rx) = channel::<Report>();
+    let (result_tx, result_rx) = channel::<(usize, A::State)>();
 
     let mut controls: Vec<Sender<Directive>> = Vec::with_capacity(config.n_workers);
     let mut handles = Vec::with_capacity(config.n_workers);
     let mut slot_rxs = slot_rxs.into_iter();
     for worker in 0..config.n_workers {
-        let (ctl_tx, ctl_rx) = unbounded::<Directive>();
+        let (ctl_tx, ctl_rx) = channel::<Directive>();
         controls.push(ctl_tx);
         let initial = if worker < config.n_active {
             Some((worker, slot_rxs.next().expect("one mailbox per slot")))
@@ -563,7 +563,7 @@ fn manager_loop(
         pure.sort_by(f64::total_cmp);
         let pure_med_v = pure[pure.len() / 2] * config.compression;
         if !spares.is_empty() {
-            let (ptx, prx) = bounded(spares.len());
+            let (ptx, prx) = channel();
             for &s in &spares {
                 controls[s]
                     .send(Directive::Probe { reply: ptx.clone() })
@@ -749,7 +749,7 @@ fn enact(
 ) {
     let mut swapped = vec![false; placement.len()];
     for ex in exchanges {
-        let (atx, arx) = bounded::<Activation>(1);
+        let (atx, arx) = channel::<Activation>();
         controls[ex.to_worker]
             .send(Directive::Activate { from: arx })
             .expect("spare alive");

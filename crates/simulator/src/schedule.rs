@@ -25,21 +25,6 @@ pub fn fastest_hosts(platform: &Platform, k: usize, t: f64) -> Vec<usize> {
     })
 }
 
-/// The `k` fastest among a candidate subset (same ordering rules).
-///
-/// # Panics
-/// Panics if `k` exceeds the candidate count.
-pub fn fastest_among(platform: &Platform, candidates: &[usize], k: usize, t: f64) -> Vec<usize> {
-    assert!(
-        k <= candidates.len(),
-        "requested {k} of {}",
-        candidates.len()
-    );
-    best_first(candidates.iter().copied(), k, |h| {
-        platform.hosts[h].delivered_at(t)
-    })
-}
-
 /// The `k` ids with the highest `key`, best first, ties by id: each
 /// candidate's key is evaluated once, then `(key, id)` pairs are sorted
 /// by that total order.
@@ -117,12 +102,6 @@ mod tests {
         assert_eq!(fastest_hosts(&p, 1, 0.0), vec![1]);
         // After the load ends the ranking flips.
         assert_eq!(fastest_hosts(&p, 1, 200.0), vec![0]);
-    }
-
-    #[test]
-    fn fastest_among_respects_candidate_set() {
-        let p = platform(&[1e8, 9e8, 2e8, 3e8]);
-        assert_eq!(fastest_among(&p, &[0, 2, 3], 2, 0.0), vec![3, 2]);
     }
 
     #[test]
